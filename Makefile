@@ -40,8 +40,11 @@ RTLINT_FORMAT ?= text
 lint: vet
 	$(GO) run ./cmd/rtlint -format $(RTLINT_FORMAT) ./...
 
+# Root benchmarks, then the scheduler's own: whole Select passes at the
+# paper's size and the feasibility tree against its slice reference.
 bench:
 	$(GO) test -run NONE -bench . -benchmem .
+	$(GO) test -run NONE -bench 'Select|Feas' -benchmem ./internal/rua/
 
 # One n=10⁴ uniprocessor run on the clustered scale workload (single
 # seed, phased arrivals): proves the 10⁴-task configuration completes

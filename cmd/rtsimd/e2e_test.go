@@ -10,7 +10,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -161,5 +163,62 @@ func TestDaemonBadFlag(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run(context.Background(), []string{"-no-such-flag"}, &stdout, &stderr, nil); err == nil {
 		t.Fatalf("run with bad flag: nil error")
+	}
+}
+
+// TestDaemonClosesStalledHeaders: a client that starts a request and
+// never finishes its headers is disconnected once the header timeout
+// passes, without a response.
+func TestDaemonClosesStalledHeaders(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 200 * time.Millisecond
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var stdout, stderr bytes.Buffer
+	ready := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "1", "-drain-timeout", "5s"}, &stdout, &stderr, ready)
+	}()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("daemon exit: %v", err)
+		}
+	}()
+	var addr string
+	select {
+	case addr = <-ready:
+	case err := <-done:
+		t.Fatalf("daemon exited before listening: %v\nstderr: %s", err, stderr.String())
+	case <-time.After(10 * time.Second):
+		t.Fatalf("daemon never became ready")
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: rtsimd\r\n"); err != nil {
+		t.Fatalf("write partial headers: %v", err)
+	}
+	// The client-side deadline only bounds the test; the daemon must
+	// close the connection well before it.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	n, err := io.Copy(io.Discard, conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open after %v: stalled headers were not timed out", time.Since(start))
+	}
+	if err != nil {
+		t.Fatalf("read after stalled headers: %v", err)
+	}
+	if n != 0 {
+		t.Fatalf("daemon answered %d bytes to an incomplete request", n)
+	}
+	if el := time.Since(start); el < readHeaderTimeout {
+		t.Fatalf("connection closed after %v, before the %v header timeout", el, readHeaderTimeout)
 	}
 }

@@ -34,6 +34,12 @@ func main() {
 	}
 }
 
+// readHeaderTimeout bounds how long a client may take to send a
+// request's headers, so a slow or stalled client cannot hold a
+// connection open forever. It starts with the first byte of a request:
+// idle keep-alive connections and long NDJSON streams are unaffected.
+var readHeaderTimeout = 10 * time.Second
+
 // run is main's injectable body. The e2e suite calls it with its own
 // context (cancel = SIGTERM) and a ready channel that receives the
 // bound address once the listener is up; main passes nil.
@@ -56,7 +62,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
 	fmt.Fprintf(stdout, "rtsimd: listening on %s\n", ln.Addr())
 	if ready != nil {
 		ready <- ln.Addr().String()

@@ -2,6 +2,8 @@ package resource
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/rtime"
@@ -189,5 +191,214 @@ func TestCommitTracking(t *testing.T) {
 	}
 	if m.Commits != 1 {
 		t.Fatalf("Commits = %d", m.Commits)
+	}
+}
+
+// TestAppendDependencyChainTable pins the chain walk's exact output —
+// members, head→tail order, and the cycle flag — over the shapes the
+// cycle check must get right. Each case appends behind a prefix that
+// already holds the walked jobs, so only the chain collected by this
+// call may close a cycle.
+func TestAppendDependencyChainTable(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// build installs the lock state on m over jobs j[0..5] and
+		// returns the job whose chain is walked.
+		build     func(m *Map, j []*task.Job) *task.Job
+		want      []int // chain as indices into j, head first
+		wantCycle bool
+	}{
+		{
+			name:  "no wait",
+			build: func(m *Map, j []*task.Job) *task.Job { return j[0] },
+			want:  []int{0},
+		},
+		{
+			// A wait record naming an object the waiter holds itself.
+			// TryAcquire refuses to create one, so the record is
+			// installed directly: the walk must still terminate.
+			name: "self-wait",
+			build: func(m *Map, j []*task.Job) *task.Job {
+				m.TryAcquire(j[0], 1)
+				j[0].WaitObj = 1 + 1
+				return j[0]
+			},
+			want:      []int{0},
+			wantCycle: true,
+		},
+		{
+			name: "2-cycle",
+			build: func(m *Map, j []*task.Job) *task.Job {
+				m.TryAcquire(j[0], 1)
+				m.TryAcquire(j[1], 2)
+				m.TryAcquire(j[0], 2) // j0 waits on j1
+				m.TryAcquire(j[1], 1) // j1 waits on j0
+				return j[0]
+			},
+			want:      []int{1, 0},
+			wantCycle: true,
+		},
+		{
+			// j4 → j3 → (j0 → j1 → j2 → j0): the walk enters the cycle
+			// through a two-job tail and stops at the first repeat, j0.
+			name: "3-cycle behind a tail",
+			build: func(m *Map, j []*task.Job) *task.Job {
+				m.TryAcquire(j[0], 0)
+				m.TryAcquire(j[1], 1)
+				m.TryAcquire(j[2], 2)
+				m.TryAcquire(j[3], 3)
+				m.TryAcquire(j[0], 1) // j0 waits on j1
+				m.TryAcquire(j[1], 2) // j1 waits on j2
+				m.TryAcquire(j[2], 0) // j2 waits on j0
+				m.TryAcquire(j[3], 0) // j3 waits on j0
+				m.TryAcquire(j[4], 3) // j4 waits on j3
+				return j[4]
+			},
+			want:      []int{2, 1, 0, 3, 4},
+			wantCycle: true,
+		},
+		{
+			// j2 waits on j1, which waits on an object released since:
+			// the chain ends at j1.
+			name: "ends at a released object",
+			build: func(m *Map, j []*task.Job) *task.Job {
+				m.TryAcquire(j[0], 0)
+				m.TryAcquire(j[1], 1)
+				m.TryAcquire(j[1], 0) // j1 waits on j0
+				m.TryAcquire(j[2], 1) // j2 waits on j1
+				if err := m.Release(j[0], 0); err != nil {
+					t.Fatal(err)
+				}
+				return j[2]
+			},
+			want: []int{1, 2},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMap()
+			j := make([]*task.Job, 6)
+			for i := range j {
+				j[i] = mkJob(i)
+			}
+			start := tc.build(m, j)
+			prefix := []*task.Job{j[5], j[0], j[1], j[2], j[3], j[4]}
+			dst := append([]*task.Job(nil), prefix...)
+			got, cycle := m.AppendDependencyChain(dst, start)
+			for i := range prefix {
+				if got[i] != prefix[i] {
+					t.Fatalf("prefix[%d] overwritten by %s", i, got[i].Name())
+				}
+			}
+			chain := got[len(prefix):]
+			if cycle != tc.wantCycle {
+				t.Errorf("cycle = %v, want %v", cycle, tc.wantCycle)
+			}
+			if len(chain) != len(tc.want) {
+				t.Fatalf("chain has %d members, want %d", len(chain), len(tc.want))
+			}
+			for i, w := range tc.want {
+				if chain[i] != j[w] {
+					t.Errorf("chain[%d] = %s, want %s", i, chain[i].Name(), j[w].Name())
+				}
+			}
+			// DependencyChain is the same walk into a fresh slice.
+			fresh, fc := m.DependencyChain(start)
+			if fc != cycle || len(fresh) != len(chain) {
+				t.Fatalf("DependencyChain = %d members (cycle %v), AppendDependencyChain %d (cycle %v)",
+					len(fresh), fc, len(chain), cycle)
+			}
+			for i := range fresh {
+				if fresh[i] != chain[i] {
+					t.Fatalf("DependencyChain[%d] = %s, want %s", i, fresh[i].Name(), chain[i].Name())
+				}
+			}
+		})
+	}
+}
+
+// TestOwnerOutOfRange covers object ids the owners slice has never grown
+// to, and the ids TryAcquire refuses.
+func TestOwnerOutOfRange(t *testing.T) {
+	m := NewMap()
+	if m.Owner(-1) != nil || m.Owner(0) != nil || m.Owner(1<<20) != nil {
+		t.Fatal("owner reported for an untouched object")
+	}
+	j := mkJob(1)
+	if _, _, err := m.TryAcquire(j, -1); !errors.Is(err, ErrState) {
+		t.Fatalf("TryAcquire(-1) err = %v, want ErrState", err)
+	}
+	if granted, _, err := m.TryAcquire(j, 40); err != nil || !granted || m.Owner(40) != j {
+		t.Fatalf("TryAcquire(40) = (%v, %v), owner %v", granted, err, m.Owner(40))
+	}
+	if m.Owner(39) != nil || m.Owner(41) != nil {
+		t.Fatal("growing owners created a phantom holder")
+	}
+}
+
+// TestAppendDependencyChainRandom holds the chain walk to the plain
+// definition — follow waits until a holder repeats, using a set of the
+// members seen — on random wait graphs with long tails, cycles of every
+// length, and released objects.
+func TestAppendDependencyChainRandom(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		m := NewMap()
+		jobs := make([]*task.Job, n)
+		for i := range jobs {
+			jobs[i] = mkJob(i)
+			m.TryAcquire(jobs[i], i) // job i holds object i
+		}
+		for i := range jobs {
+			switch k := rng.Intn(n + 2); {
+			case k < n && k != i:
+				m.TryAcquire(jobs[i], k) // i waits on k's object
+			case k == i:
+				jobs[i].WaitObj = int32(i) + 1 // self-wait
+			}
+		}
+		for i := range jobs {
+			if rng.Intn(8) == 0 {
+				if err := m.Release(jobs[i], i); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+
+		arena := []*task.Job{jobs[0]}
+		for _, j := range jobs {
+			// Reference: the set-based walk, tail-first, then reversed.
+			var want []*task.Job
+			seen := map[*task.Job]bool{j: true}
+			wantCycle := false
+			want = append(want, j)
+			for cur := j; ; {
+				obj, ok := m.WaitingFor(cur)
+				if !ok {
+					break
+				}
+				h := m.Owner(obj)
+				if h == nil {
+					break
+				}
+				if seen[h] {
+					wantCycle = true
+					break
+				}
+				seen[h] = true
+				want = append(want, h)
+				cur = h
+			}
+			slices.Reverse(want)
+
+			start := len(arena)
+			var cycle bool
+			arena, cycle = m.AppendDependencyChain(arena, j)
+			got := arena[start:]
+			if cycle != wantCycle || !slices.Equal(got, want) {
+				t.Fatalf("seed %d, chain(%s): got %d members (cycle %v), want %d (cycle %v)",
+					seed, j.Name(), len(got), cycle, len(want), wantCycle)
+			}
+		}
 	}
 }

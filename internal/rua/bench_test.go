@@ -9,11 +9,17 @@ package rua
 // speedup for the scheduler side. Run:
 //
 //	go test -run NONE -bench BenchmarkFeas -benchmem ./internal/rua/
+//
+// BenchmarkSelectPaperSize times whole Select passes at the paper's
+// size instead (n ≈ 10 live jobs, as in the sweep workload), where the
+// per-pass bookkeeping, not the schedule structure, dominates.
 import (
 	"fmt"
 	"testing"
 
+	"repro/internal/resource"
 	"repro/internal/rtime"
+	"repro/internal/sched"
 	"repro/internal/task"
 )
 
@@ -35,12 +41,17 @@ func BenchmarkFeasTreePass(b *testing.B) {
 	const acc = rtime.Duration(10)
 	for _, n := range []int{100, 1000, 10_000} {
 		chains := benchJobs(n)
+		live := make([]*task.Job, n)
+		for i, ch := range chains {
+			live[i] = ch[0]
+		}
+		slotted(live)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var ops int64
 			ft := &feasTree{ops: &ops}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ft.reset(n)
+				ft.reset(live)
 				for _, ch := range chains {
 					ft.insertChain(ch, acc)
 					if !ft.feasible(0) {
@@ -71,5 +82,52 @@ func BenchmarkFeasSliceRefPass(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// paperWorld builds n live jobs in which every job i with i%3 != 0 waits
+// on the object held by job i−1, so a lock-based pass walks chains of up
+// to three members (no deadlock). Critical times spread the jobs so part
+// of each pass is infeasible, as under the paper's overloads.
+func paperWorld(n int, lockBased bool) sched.World {
+	res := resource.NewMap()
+	jobs := make([]*task.Job, n)
+	for i := range jobs {
+		jobs[i] = mkJob(i, float64(1+i%5), rtime.Duration(200+40*i), rtime.Duration(20+i%7), 0)
+		if _, _, err := res.TryAcquire(jobs[i], i); err != nil {
+			panic(err)
+		}
+	}
+	for i := 1; i < n; i++ {
+		if i%3 != 0 {
+			if granted, _, err := res.TryAcquire(jobs[i], i-1); err != nil || granted {
+				panic(fmt.Sprintf("job %d must wait on object %d", i, i-1))
+			}
+			jobs[i].State = task.Blocked
+		}
+	}
+	return world(0, res, lockBased, jobs...)
+}
+
+func BenchmarkSelectPaperSize(b *testing.B) {
+	for _, n := range []int{10, 40} {
+		for _, mode := range []struct {
+			name string
+			rua  func() *RUA
+		}{
+			{"lockfree", NewLockFree},
+			{"lockbased", NewLockBased},
+		} {
+			b.Run(fmt.Sprintf("%s/n=%d", mode.name, n), func(b *testing.B) {
+				r := mode.rua()
+				w := paperWorld(n, !r.lockFree)
+				r.Select(w)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r.Select(w)
+				}
+			})
+		}
 	}
 }

@@ -44,9 +44,15 @@ package rua
 // Treap shape is deterministic: node priorities come from splitmix64 of
 // a counter reset at every pass, so identical insertion sequences build
 // identical trees on every run and every platform.
+//
+// Jobs are located by slot, not by hashing: pos maps each slot of the
+// pass's live slice to the job's node. A job outside the live slice (a
+// dependency-chain member the world does not list) has no slot and is
+// found by scanning the few nodes in outside.
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/rtime"
 	"repro/internal/task"
@@ -83,25 +89,61 @@ type feasMut struct {
 type feasTree struct {
 	nodes   []feasNode
 	root    int32
-	free    []int32             // recycled node slots
-	pos     map[*task.Job]int32 // job → node index
+	free    []int32     // recycled node indices
+	live    []*task.Job // the pass's slot table: job j has slot s iff live[s] == j
+	pos     []int32     // slot → node index, nilNode when absent
+	outside []int32     // nodes of present jobs without a slot
 	ops     *int64
 	journal []feasMut
 	prioCtr uint64
 }
 
-// reset clears the tree for a fresh scheduling pass, keeping capacity.
-func (t *feasTree) reset(hint int) {
+// reset clears the tree for a fresh scheduling pass over live, whose
+// jobs carry their slots (live[j.Slot] == j), keeping capacity.
+func (t *feasTree) reset(live []*task.Job) {
 	t.nodes = t.nodes[:0]
 	t.root = nilNode
 	t.free = t.free[:0]
-	if t.pos == nil {
-		//rtlint:ignore noalloc one-time lazy init; the map is cleared and reused every pass
-		t.pos = make(map[*task.Job]int32, hint)
+	t.live = live
+	t.pos = growSlice(t.pos, len(live))
+	for i := range t.pos {
+		t.pos[i] = nilNode
 	}
-	clear(t.pos)
+	t.outside = t.outside[:0]
 	t.journal = t.journal[:0]
 	t.prioCtr = 0
+}
+
+// slotOf returns j's slot in the pass, or -1 when j is not in live.
+func slotOf(live []*task.Job, j *task.Job) int {
+	if s := int(j.Slot); uint(s) < uint(len(live)) && live[s] == j {
+		return s
+	}
+	return -1
+}
+
+// nodeOf returns the node holding j, or nilNode when j is absent.
+func (t *feasTree) nodeOf(j *task.Job) int32 {
+	if s := slotOf(t.live, j); s >= 0 {
+		return t.pos[s]
+	}
+	for _, i := range t.outside {
+		if t.nodes[i].job == j {
+			return i
+		}
+	}
+	return nilNode
+}
+
+// growSlice returns s resized to n, reusing its backing array. Growth
+// goes through append, so its cost is amortized over the passes; the new
+// length's elements hold stale values the caller overwrites.
+func growSlice[E any](s []E, n int) []E {
+	if n > cap(s) {
+		//rtlint:ignore noalloc amortized growth of reused per-pass scratch
+		s = append(s[:cap(s)], make([]E, n-cap(s))...)
+	}
+	return s[:n]
 }
 
 func (t *feasTree) count() int {
@@ -176,13 +218,23 @@ func (t *feasTree) alloc(j *task.Job, effC rtime.Time, rem rtime.Duration) int32
 		parent: nilNode, left: nilNode, right: nilNode,
 		cnt: 1, sum: rem, minSlack: int64(effC) - int64(rem),
 	}
-	//rtlint:ignore noalloc cleared map reuses its buckets; growth amortized
-	t.pos[j] = i
+	if s := slotOf(t.live, j); s >= 0 {
+		t.pos[s] = i
+	} else {
+		//rtlint:ignore noalloc reused outside scratch; holds only slotless chain members
+		t.outside = append(t.outside, i)
+	}
 	return i
 }
 
 func (t *feasTree) freeNode(i int32) {
-	delete(t.pos, t.nodes[i].job)
+	if s := slotOf(t.live, t.nodes[i].job); s >= 0 {
+		t.pos[s] = nilNode
+	} else if k := slices.Index(t.outside, i); k >= 0 {
+		last := len(t.outside) - 1
+		t.outside[k] = t.outside[last]
+		t.outside = t.outside[:last]
+	}
 	t.nodes[i] = feasNode{} // drop the job pointer
 	//rtlint:ignore noalloc reused free-list scratch; growth amortized
 	t.free = append(t.free, i)
@@ -337,8 +389,8 @@ func (t *feasTree) rollback(m int) {
 // lookup; the rank is reconstructed from the parent chain.
 func (t *feasTree) indexOf(j *task.Job) int {
 	t.chargeLog()
-	i, ok := t.pos[j]
-	if !ok {
+	i := t.nodeOf(j)
+	if i == nilNode {
 		return -1
 	}
 	rank := t.leftCnt(i)
@@ -389,8 +441,8 @@ func (t *feasTree) removeAt(pos int) (j *task.Job, effC rtime.Time, rem rtime.Du
 // effCOf returns the effective critical time of a present job.
 // Uncharged, like schedule.entryOf.
 func (t *feasTree) effCOf(j *task.Job) rtime.Time {
-	i, ok := t.pos[j]
-	if !ok {
+	i := t.nodeOf(j)
+	if i == nilNode {
 		return 0
 	}
 	return t.nodes[i].effC

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/rtime"
+	"repro/internal/sched"
 	"repro/internal/task"
 )
 
@@ -29,6 +30,15 @@ func treeEntries(t *feasTree) []entry {
 		v = t.succ(v)
 	}
 	return out
+}
+
+// slotted stamps each job with its index, as selectFull stamps its live
+// slice, and returns jobs as the slot table for feasTree.reset.
+func slotted(jobs []*task.Job) []*task.Job {
+	for i, j := range jobs {
+		j.Slot = int32(i)
+	}
+	return jobs
 }
 
 func compareStates(t *testing.T, ctx string, s *schedule, ft *feasTree, opsS, opsT int64) {
@@ -72,7 +82,10 @@ func TestFeasTreeDifferential(t *testing.T) {
 		var opsS, opsT int64
 		s := &schedule{ops: &opsS}
 		ft := &feasTree{}
-		ft.reset(nJobs)
+		// The last quarter of the pool stays out of the slot table, like
+		// chain members the world does not list: the tree must find them
+		// without a slot.
+		ft.reset(slotted(jobs)[:nJobs-nJobs/4])
 		ft.ops = &opsT
 
 		for round := 0; round < 60; round++ {
@@ -138,15 +151,20 @@ func TestFeasTreeDifferential(t *testing.T) {
 func TestFeasTreePositionalDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		const nOps = 400
+		jobs := make([]*task.Job, nOps)
+		for i := range jobs {
+			jobs[i] = mkJob(i, 1, rtime.Duration(50+rng.Intn(500)), rtime.Duration(1+rng.Intn(50)), 0)
+		}
 		var opsS, opsT int64
 		s := &schedule{ops: &opsS}
 		ft := &feasTree{}
-		ft.reset(0)
+		ft.reset(slotted(jobs))
 		ft.ops = &opsT
 		nextID := 0
-		for op := 0; op < 400; op++ {
+		for op := 0; op < nOps; op++ {
 			if len(s.entries) == 0 || rng.Intn(3) > 0 {
-				j := mkJob(nextID, 1, rtime.Duration(50+rng.Intn(500)), rtime.Duration(1+rng.Intn(50)), 0)
+				j := jobs[nextID]
 				nextID++
 				effC := j.AbsoluteCriticalTime()
 				ps, pt := s.ecfPos(effC), ft.ecfPos(effC)
@@ -179,23 +197,39 @@ func TestFeasTreePositionalDifferential(t *testing.T) {
 
 // TestSelectSteadyStateNoAlloc pins the zero-alloc contract on the full
 // scheduling pass: after warm-up, Select allocates nothing, in both
-// sharing modes.
+// sharing modes. The lock-based world with chains holds and waits on
+// objects, so its passes walk dependency chains of up to three members
+// and resolve a deadlock every time.
 func TestSelectSteadyStateNoAlloc(t *testing.T) {
+	plain := func(lockBased bool) sched.World {
+		jobs := make([]*task.Job, 32)
+		for i := range jobs {
+			jobs[i] = mkJob(i, float64(1+i%5), rtime.Duration(500+10*i), rtime.Duration(20+i%7), 0)
+		}
+		return world(0, nil, lockBased, jobs...)
+	}
 	for _, tc := range []struct {
-		name string
-		rua  *RUA
+		name   string
+		rua    *RUA
+		world  func(t *testing.T) sched.World
+		aborts bool // every pass aborts a deadlock victim
 	}{
-		{"lockfree", NewLockFree()},
-		{"lockbased", NewLockBased()},
+		{"lockfree", NewLockFree(), func(*testing.T) sched.World { return plain(false) }, false},
+		{"lockbased", NewLockBased(), func(*testing.T) sched.World { return plain(true) }, false},
+		{"lockbased-chains", NewLockBased(), func(t *testing.T) sched.World {
+			jobs, res := lockedJobs(t)
+			if chain, _ := res.DependencyChain(jobs[2]); len(chain) != 3 {
+				t.Fatalf("chain(J2) has %d members, want 3", len(chain))
+			}
+			return world(100, res, true, pick(jobs, 0, 1, 2, 3, 4, 5, 7)...)
+		}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			jobs := make([]*task.Job, 32)
-			for i := range jobs {
-				jobs[i] = mkJob(i, float64(1+i%5), rtime.Duration(500+10*i), rtime.Duration(20+i%7), 0)
-			}
-			w := world(0, nil, !tc.rua.lockFree, jobs...)
+			w := tc.world(t)
 			for i := 0; i < 3; i++ {
-				tc.rua.Select(w)
+				if d := tc.rua.Select(w); (len(d.Abort) > 0) != tc.aborts {
+					t.Fatalf("pass aborts %d jobs, want deadlock victims: %v", len(d.Abort), tc.aborts)
+				}
 			}
 			allocs := testing.AllocsPerRun(100, func() {
 				tc.rua.Select(w)

@@ -17,6 +17,7 @@ package rua
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/rtime"
@@ -32,18 +33,27 @@ import (
 // concurrently running simulations — give each engine its own instance
 // (cf. multi.Config.NewScheduler). The charged-operation accounting is
 // pure: reuse changes allocation behaviour only, never op counts.
+//
+// No per-job state of a pass is hashed. Each pass stamps every live job
+// with its slot — its index in the pass's live slice (task.Job.Slot) —
+// and keeps per-job data in slices indexed by slot. A stamp is trusted
+// only after checking live[slot] == j, so a stale stamp left by another
+// pass, another instance, or a chain member outside the live slice never
+// aliases a live job's data. Stamping writes to the jobs, so two passes
+// over the same jobs must not run concurrently, whatever their instances.
 type RUA struct {
 	lockFree bool
 	degrade  bool
 	observer func(trace.Event)
 
 	// Per-Select scratch, reset (not reallocated) on every pass.
-	live      []*task.Job
-	chainBuf  []*task.Job // chain arena: lock-free singletons / lock-based walks
+	live      []*task.Job   // slot → job
+	chainBuf  []*task.Job   // chain arena: lock-free singletons / lock-based walks
+	chains    [][]*task.Job // slot → dependency chain, head first
+	pud       []float64     // slot → PUD
+	excluded  []bool        // slot → sits this pass out
 	order     []*task.Job
-	chains    map[*task.Job][]*task.Job
-	pud       map[*task.Job]float64
-	excluded  map[*task.Job]bool
+	orderPUD  []float64 // PUD of order[i], sorted along with it
 	feas      feasTree
 	sorter    pudSorter
 	cyclesBuf [][]*task.Job
@@ -291,18 +301,22 @@ func (s *schedule) feasible(now rtime.Time, acc rtime.Duration) bool {
 // sort.Interface, so sorting allocates nothing (sort.Slice would box a
 // fresh closure and lessSwap per pass). sort.Sort and sort.Slice run the
 // same pdqsort over the same Less/Swap sequence, so charged comparison
-// counts are unchanged.
+// counts are unchanged. The PUDs ride in key, parallel to order and
+// swapped with it, so a comparison reads two floats and looks nothing up.
 type pudSorter struct {
 	order []*task.Job
-	pud   map[*task.Job]float64
+	key   []float64
 	ops   *int64
 }
 
-func (s *pudSorter) Len() int      { return len(s.order) }
-func (s *pudSorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.order[a] }
+func (s *pudSorter) Len() int { return len(s.order) }
+func (s *pudSorter) Swap(a, b int) {
+	s.order[a], s.order[b] = s.order[b], s.order[a]
+	s.key[a], s.key[b] = s.key[b], s.key[a]
+}
 func (s *pudSorter) Less(a, b int) bool {
 	*s.ops++
-	pa, pb := s.pud[s.order[a]], s.pud[s.order[b]]
+	pa, pb := s.key[a], s.key[b]
 	//rtlint:ignore floatcmp tie-break gate: both PUDs come from the same pudOf pass, so equal inputs yield bit-equal floats and ties fall through to the deterministic jobLess order
 	if pa != pb {
 		return pa > pb
@@ -349,9 +363,11 @@ func (r *RUA) Select(w sched.World) sched.Decision {
 func (r *RUA) selectFull(w sched.World) sched.Decision {
 	r.ops = 0
 
+	// Collect the live jobs and stamp each with its slot.
 	live := r.live[:0]
 	for _, j := range w.Jobs {
 		if !j.Done() && j.State != task.Aborting {
+			j.Slot = int32(len(live))
 			//rtlint:ignore noalloc reused r.live scratch; growth amortized
 			live = append(live, j)
 		}
@@ -360,31 +376,20 @@ func (r *RUA) selectFull(w sched.World) sched.Decision {
 	if len(live) == 0 {
 		return sched.Decision{}
 	}
-	if r.chains == nil {
-		//rtlint:ignore noalloc one-time lazy init; the maps are cleared and reused every pass
-		r.chains = make(map[*task.Job][]*task.Job, len(live))
-		//rtlint:ignore noalloc one-time lazy init; the maps are cleared and reused every pass
-		r.pud = make(map[*task.Job]float64, len(live))
-		//rtlint:ignore noalloc one-time lazy init; the maps are cleared and reused every pass
-		r.excluded = make(map[*task.Job]bool)
-	}
+	n := len(live)
 
 	// Step 1: dependency chains (§3.1). Lock-free RUA has none — each
 	// chain is the job itself (§5); the singleton chains are carved out of
 	// one reused backing array instead of allocated per job.
-	chains := r.chains
-	clear(chains)
+	chains := growSlice(r.chains, n)
+	r.chains = chains
 	cycles := r.cyclesBuf[:0]
 	if r.lockFree {
-		if cap(r.chainBuf) < len(live) {
-			//rtlint:ignore noalloc cap-guarded growth of reused scratch; amortized
-			r.chainBuf = make([]*task.Job, len(live))
-		}
-		buf := r.chainBuf[:len(live)]
+		buf := growSlice(r.chainBuf, n)
+		r.chainBuf = buf
 		for i, j := range live {
 			buf[i] = j
-			//rtlint:ignore noalloc cleared map reuses its buckets; growth amortized
-			chains[j] = buf[i : i+1 : i+1]
+			chains[i] = buf[i : i+1 : i+1]
 			r.ops++
 		}
 	} else {
@@ -393,14 +398,13 @@ func (r *RUA) selectFull(w sched.World) sched.Decision {
 		// array, which is fine: chains are immutable once built, and the
 		// arena reaches steady-state capacity after the first passes.
 		arena := r.chainBuf[:0]
-		for _, j := range live {
+		for i, j := range live {
 			start := len(arena)
 			var cycle bool
 			arena, cycle = w.Res.AppendDependencyChain(arena, j)
 			chain := arena[start:len(arena):len(arena)]
 			r.ops += int64(len(chain))
-			//rtlint:ignore noalloc cleared map reuses its buckets; growth amortized
-			chains[j] = chain
+			chains[i] = chain
 			if cycle {
 				//rtlint:ignore noalloc reused r.cyclesBuf scratch; growth amortized
 				cycles = append(cycles, chain)
@@ -412,11 +416,10 @@ func (r *RUA) selectFull(w sched.World) sched.Decision {
 
 	// Step 2: PUDs (§3.2) — utility per unit time of the aggregate
 	// computation (the job plus everything it depends on).
-	pud := r.pud
-	clear(pud)
-	for _, j := range live {
-		//rtlint:ignore noalloc cleared map reuses its buckets; growth amortized
-		pud[j] = r.pudOf(w, chains[j], &r.ops)
+	pud := growSlice(r.pud, n)
+	r.pud = pud
+	for i := range live {
+		pud[i] = r.pudOf(w, chains[i], &r.ops)
 	}
 
 	// Step 3: deadlock resolution (§3.3) — only reachable with nested
@@ -424,33 +427,37 @@ func (r *RUA) selectFull(w sched.World) sched.Decision {
 	// whose chains pass through a victim cannot run before the rollback,
 	// so they sit this round out.
 	aborts := r.abortBuf[:0]
-	excluded := r.excluded
+	excluded := growSlice(r.excluded, n)
+	r.excluded = excluded
 	clear(excluded)
 	for _, cyc := range cycles {
 		victim := cyc[0]
 		for _, j := range cyc {
 			r.ops++
+			pj, pv := pudAt(live, pud, j), pudAt(live, pud, victim)
 			//rtlint:ignore floatcmp tie-break gate: PUDs of one pass are bit-comparable, equality falls through to the deterministic jobLess victim choice
-			if pud[j] < pud[victim] || (pud[j] == pud[victim] && jobLess(victim, j)) {
+			if pj < pv || (pj == pv && jobLess(victim, j)) {
 				victim = j
 			}
 		}
-		if !excluded[victim] {
+		if !slices.Contains(aborts, victim) {
 			//rtlint:ignore noalloc reused r.abortBuf scratch; growth amortized
 			aborts = append(aborts, victim)
-			//rtlint:ignore noalloc cleared map reuses its buckets; growth amortized
-			excluded[victim] = true
+			if s := slotOf(live, victim); s >= 0 {
+				excluded[s] = true
+			}
 		}
 	}
+	// The victims are aborts so far; step 5 appends sheds after them.
+	victims := aborts
 	// A job whose chain passes through an aborting member (its holder's
 	// rollback handler has not finished, so the lock is still held) or a
 	// deadlock victim cannot run before the corresponding departure
 	// event; it sits this round out and is reconsidered then.
-	for _, j := range live {
-		for _, d := range chains[j] {
-			if excluded[d] || d.State == task.Aborting {
-				//rtlint:ignore noalloc cleared map reuses its buckets; growth amortized
-				excluded[j] = true
+	for i := range live {
+		for _, d := range chains[i] {
+			if d.State == task.Aborting || isExcluded(live, excluded, victims, d) {
+				excluded[i] = true
 				break
 			}
 		}
@@ -458,15 +465,17 @@ func (r *RUA) selectFull(w sched.World) sched.Decision {
 
 	// Step 4: sort by non-increasing PUD (§3.4), ties by job identity for
 	// determinism.
-	order := r.order[:0]
-	for _, j := range live {
-		if !excluded[j] {
+	order, key := r.order[:0], r.orderPUD[:0]
+	for i, j := range live {
+		if !excluded[i] {
 			//rtlint:ignore noalloc reused r.order scratch; growth amortized
 			order = append(order, j)
+			//rtlint:ignore noalloc reused r.orderPUD scratch; growth amortized
+			key = append(key, pud[i])
 		}
 	}
-	r.order = order
-	r.sorter = pudSorter{order: order, pud: pud, ops: &r.ops}
+	r.order, r.orderPUD = order, key
+	r.sorter = pudSorter{order: order, key: key, ops: &r.ops}
 	sort.Sort(&r.sorter)
 
 	// Step 5: examine in PUD order, insert job+dependents in ECF order,
@@ -477,7 +486,7 @@ func (r *RUA) selectFull(w sched.World) sched.Decision {
 	// neither discard path was ever charged.
 	cur := &r.feas
 	cur.ops = &r.ops
-	cur.reset(len(live))
+	cur.reset(live)
 	for _, j := range order {
 		if cur.indexOf(j) >= 0 {
 			// Already inserted as someone's dependent.
@@ -485,7 +494,7 @@ func (r *RUA) selectFull(w sched.World) sched.Decision {
 		}
 		m := cur.mark()
 		before := r.ops
-		cur.insertChain(chains[j], w.Acc)
+		cur.insertChain(chains[j.Slot], w.Acc)
 		if cur.feasible(w.Now) {
 			// Accepted: history up to here can never be rolled back.
 			cur.journal = cur.journal[:0]
@@ -535,6 +544,25 @@ func (r *RUA) pudOf(w sched.World, chain []*task.Job, ops *int64) float64 {
 		return math.Inf(1)
 	}
 	return total / float64(denom)
+}
+
+// pudAt returns j's PUD from the pass's slot-indexed pud. A cycle member
+// outside the live slice has no slot and no PUD of its own; it counts as 0.
+func pudAt(live []*task.Job, pud []float64, j *task.Job) float64 {
+	if s := slotOf(live, j); s >= 0 {
+		return pud[s]
+	}
+	return 0
+}
+
+// isExcluded reports whether chain member d sits this pass out: a live
+// member by its slot's flag, one outside the live slice only as a
+// deadlock victim.
+func isExcluded(live []*task.Job, excluded []bool, victims []*task.Job, d *task.Job) bool {
+	if s := slotOf(live, d); s >= 0 {
+		return excluded[s]
+	}
+	return slices.Contains(victims, d)
 }
 
 func jobLess(a, b *task.Job) bool {
