@@ -2,47 +2,53 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestStreamMetricsMatchesBatch is the CLI-level identity check: the
-// -stream digest must be byte-equal to the batch one, plain and under
-// fault injection, for serial and parallel execution alike.
-func TestStreamMetricsMatchesBatch(t *testing.T) {
+var updateGolden = flag.Bool("update", false, "rewrite the CLI goldens under testdata/")
+
+// checkGolden compares got with testdata/name, rewriting the file
+// instead under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("output differs from %s:\n--- got\n%s\n--- want\n%s", path, got, want)
+	}
+}
+
+// TestMetricsGolden pins the -metrics digest to committed bytes, plain
+// and under fault injection, for serial and parallel execution alike.
+func TestMetricsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("folds the quick trace grid four times; skipped with -short")
 	}
 	for _, faults := range []string{"", "heavy"} {
-		name := "plain"
+		name, golden := "plain", "metrics_quick.golden"
 		if faults != "" {
-			name = "faults-" + faults
+			name, golden = "faults-"+faults, "metrics_quick_faults_"+faults+".golden"
 		}
 		t.Run(name, func(t *testing.T) {
-			digest := func(jobs int, stream bool) string {
-				t.Helper()
-				args := []string{"-profile", "quick", "-jobs", strconv.Itoa(jobs), "-metrics"}
-				if stream {
-					args = append(args, "-stream")
-				}
+			for _, jobs := range []int{1, 4} {
+				var extra []string
 				if faults != "" {
-					args = append(args, "-faults", faults)
+					extra = []string{"-faults", faults}
 				}
-				var out, errb strings.Builder
-				if code := run(args, &out, &errb); code != 0 {
-					t.Fatalf("rtsim %v exited %d\nstderr: %s", args, code, errb.String())
-				}
-				return out.String()
-			}
-			batch := digest(1, false)
-			if stream := digest(1, true); stream != batch {
-				t.Fatalf("-stream digest differs from batch:\n--- batch\n%s\n--- stream\n%s", batch, stream)
-			}
-			if stream := digest(4, true); stream != batch {
-				t.Fatal("-stream digest differs between -jobs 1 batch and -jobs 4 stream")
+				checkGolden(t, golden, runMetrics(t, jobs, extra...))
 			}
 		})
 	}

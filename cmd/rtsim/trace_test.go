@@ -60,30 +60,28 @@ func TestTraceDeterminismAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestCheckBoundsCLI runs the quick-profile bound-check suite end to end:
-// it must pass (exit 0, "all Theorem 2/3 bounds hold") and render
-// byte-identically for any -jobs value.
+// TestCheckBoundsCLI runs the quick-profile bound-check suite end to
+// end, plain and under fault injection: it must pass (exit 0) and
+// render the committed golden report for any -jobs value.
 func TestCheckBoundsCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the bound-check suite runs eight traced simulations; skipped with -short")
 	}
-	render := func(jobs int) string {
-		t.Helper()
-		var out, errb strings.Builder
-		args := []string{"-profile", "quick", "-jobs", strconv.Itoa(jobs), "-check-bounds"}
-		if code := run(args, &out, &errb); code != 0 {
-			t.Fatalf("rtsim -check-bounds exited %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
+	for _, faults := range []string{"", "heavy"} {
+		golden := "check_bounds_quick.golden"
+		args := []string{"-profile", "quick", "-check-bounds"}
+		if faults != "" {
+			golden = "check_bounds_quick_faults_" + faults + ".golden"
+			args = append(args, "-faults", faults)
 		}
-		return out.String()
-	}
-	seq := render(1)
-	par := render(runtime.NumCPU())
-	if seq != par {
-		t.Fatalf("-check-bounds output differs between -jobs 1 and -jobs %d:\n%s\n---\n%s",
-			runtime.NumCPU(), seq, par)
-	}
-	if !strings.Contains(seq, "all Theorem 2/3 bounds hold") {
-		t.Fatalf("bound-check suite did not pass:\n%s", seq)
+		for _, jobs := range []int{1, runtime.NumCPU()} {
+			var out, errb strings.Builder
+			args := append([]string{"-jobs", strconv.Itoa(jobs)}, args...)
+			if code := run(args, &out, &errb); code != 0 {
+				t.Fatalf("rtsim %v exited %d\nstdout: %s\nstderr: %s", args, code, out.String(), errb.String())
+			}
+			checkGolden(t, golden, out.String())
+		}
 	}
 }
 

@@ -231,15 +231,10 @@ func (s *ReportSet) Names() []string {
 	return names
 }
 
-// BuildReportSet builds the canonical-workload report (batch or
-// streaming builder — both render byte-identically) and renders every
+// BuildReportSet builds the canonical-workload report and renders every
 // artifact in memory.
-func BuildReportSet(p experiment.Profile, figIDs []string, stream bool) (*ReportSet, error) {
-	build := experiment.BuildReport
-	if stream {
-		build = experiment.BuildReportStream
-	}
-	rep, err := build(p, figIDs)
+func BuildReportSet(p experiment.Profile, figIDs []string) (*ReportSet, error) {
+	rep, err := experiment.BuildReport(p, figIDs)
 	if err != nil {
 		return nil, err
 	}
@@ -257,12 +252,8 @@ func BuildReportSet(p experiment.Profile, figIDs []string, stream bool) (*Report
 
 // BuildMetrics folds the canonical workload on every simulator × mode
 // and renders the -metrics text digest.
-func BuildMetrics(p experiment.Profile, stream bool) ([]byte, error) {
-	build := experiment.BuildReport
-	if stream {
-		build = experiment.BuildReportStream
-	}
-	rep, err := build(p, nil)
+func BuildMetrics(p experiment.Profile) ([]byte, error) {
+	rep, err := experiment.BuildReport(p, nil)
 	if err != nil {
 		return nil, err
 	}

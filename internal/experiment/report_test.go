@@ -2,8 +2,38 @@ package experiment
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
+
+// checkGolden compares got with testdata/name, rewriting the file
+// instead under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s differs from its golden:\n--- got\n%s\n--- want\n%s", path, got, want)
+	}
+}
 
 // testReportProfile is Quick with two seeds so cross-seed merging is
 // actually exercised.
@@ -100,5 +130,54 @@ func TestBuildReportJobsInvariant(t *testing.T) {
 	}
 	if html1 != html4 {
 		t.Fatal("HTML report differs between -jobs 1 and 4")
+	}
+}
+
+// reportGolden builds the report for one streamProfiles entry at the
+// given -jobs value and compares its -metrics digest in full, and its
+// HTML by SHA-256, against the committed goldens for that profile.
+func reportGolden(t *testing.T, name string, jobs int) {
+	t.Helper()
+	p := streamProfiles(t)[name]
+	p.Jobs = jobs
+	rep, err := BuildReport(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var txt, html bytes.Buffer
+	if err := rep.WriteText(&txt); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.WriteHTML(&html); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(html.Bytes())
+	checkGolden(t, "report_"+name+".metrics.golden", txt.Bytes())
+	checkGolden(t, "report_"+name+".html.sha256", []byte(hex.EncodeToString(sum[:])+"\n"))
+}
+
+// TestStreamReportMatchesBatch pins every fold the streaming report
+// runs — the span fold behind the histograms, the series fold behind
+// the throughput panel, the ops fold behind the retry-tail panel, and
+// the check fold behind the violation tables — to the bytes the
+// record-and-replay (batch) builder rendered, committed as goldens:
+// plain, under fault injection, and under stochastic scheduling.
+func TestStreamReportMatchesBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the trace grid once per profile")
+	}
+	for _, name := range []string{"plain", "fault", "stoch"} {
+		t.Run(name, func(t *testing.T) { reportGolden(t, name, 1) })
+	}
+}
+
+// TestStreamReportJobsInvariant: the report fans out on runner.Map; at
+// -jobs 4 every profile must render the same goldens as at -jobs 1.
+func TestStreamReportJobsInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the trace grid once per profile")
+	}
+	for _, name := range []string{"plain", "fault", "stoch"} {
+		t.Run(name, func(t *testing.T) { reportGolden(t, name, 4) })
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/stoch"
+	"repro/internal/trace"
 )
 
 func TestStochSweepShape(t *testing.T) {
@@ -18,6 +19,9 @@ func TestStochSweepShape(t *testing.T) {
 		t.Fatalf("tables = %d", len(tables))
 	}
 	tb := tables[0]
+	// The whole table is pinned: AUR, throughput, the predictor's fit
+	// and the retry tails are all folds over each cell's event stream.
+	checkGolden(t, "stoch_quick.golden", []byte(tb.Render()))
 	if len(tb.Rows) != 9 { // 3 dists × 3 modes
 		t.Fatalf("rows = %d, want 9", len(tb.Rows))
 	}
@@ -83,30 +87,28 @@ func TestStochTraceDeterminism(t *testing.T) {
 	withPlan.Stoch = plan
 	zero := Quick
 	zero.Stoch = &stoch.Plan{}
+	events := func(p Profile, simName string) []trace.Event {
+		t.Helper()
+		tasks, horizon, err := TraceSetup(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := trace.NewRecorder(0)
+		if err := StreamTrace(p, simName, false, 1, tasks, horizon, rec.Record); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Events()
+	}
 	for _, simName := range []string{TraceSimUni, TraceSimMulti, TraceSimGlobal} {
-		a, err := RunTrace(withPlan, simName, false, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := RunTrace(withPlan, simName, false, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a.Events, b.Events) {
+		a, b := events(withPlan, simName), events(withPlan, simName)
+		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("%s: stochastic trace not reproducible", simName)
 		}
-		base, err := RunTrace(Quick, simName, false, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		z, err := RunTrace(zero, simName, false, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(base.Events, z.Events) {
+		base, z := events(Quick, simName), events(zero, simName)
+		if !reflect.DeepEqual(base, z) {
 			t.Fatalf("%s: zero plan diverged from plan-free trace", simName)
 		}
-		if reflect.DeepEqual(base.Events, a.Events) {
+		if reflect.DeepEqual(base, a) {
 			t.Fatalf("%s: active plan left the trace unchanged", simName)
 		}
 	}

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/fault"
@@ -31,83 +30,6 @@ func streamProfiles(t *testing.T) map[string]Profile {
 	stochastic := plain
 	stochastic.Stoch = sp
 	return map[string]Profile{"plain": plain, "fault": faulty, "stoch": stochastic}
-}
-
-// TestStreamReportMatchesBatch is the streaming pipeline's acceptance
-// property: BuildReportStream renders byte-identically to BuildReport —
-// same -metrics digest, same HTML — across every simulator × mode the
-// grid covers, under fault injection and stochastic scheduling alike.
-// One comparison covers every online sink at once: the span fold feeds
-// the histograms, the series fold the throughput panel, the ops fold
-// the retry-tail panel, and the check fold the violation tables.
-func TestStreamReportMatchesBatch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the trace grid twice per profile")
-	}
-	for _, name := range []string{"plain", "fault", "stoch"} {
-		p := streamProfiles(t)[name]
-		t.Run(name, func(t *testing.T) {
-			batch, err := BuildReport(p, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stream, err := BuildReportStream(p, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var bt, st, bh, sh bytes.Buffer
-			if err := batch.WriteText(&bt); err != nil {
-				t.Fatal(err)
-			}
-			if err := stream.WriteText(&st); err != nil {
-				t.Fatal(err)
-			}
-			if bt.String() != st.String() {
-				t.Fatalf("-metrics digest differs between batch and streaming builds:\n--- batch\n%s\n--- stream\n%s", bt.String(), st.String())
-			}
-			if err := batch.WriteHTML(&bh); err != nil {
-				t.Fatal(err)
-			}
-			if err := stream.WriteHTML(&sh); err != nil {
-				t.Fatal(err)
-			}
-			if bh.String() != sh.String() {
-				t.Fatal("HTML report differs between batch and streaming builds")
-			}
-			var jobs int64
-			for i := range stream.Runs {
-				jobs += stream.Runs[i].Jobs
-			}
-			if jobs == 0 {
-				t.Fatal("streaming build folded no jobs; identity check is vacuous")
-			}
-		})
-	}
-}
-
-// TestStreamReportJobsInvariant: the streaming build fans out on
-// runner.Map like the batch build; its rendered digest must be
-// byte-equal for serial and parallel execution.
-func TestStreamReportJobsInvariant(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the trace grid twice")
-	}
-	render := func(jobs int) string {
-		p := streamProfiles(t)["plain"]
-		p.Jobs = jobs
-		rep, err := BuildReportStream(p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var txt bytes.Buffer
-		if err := rep.WriteText(&txt); err != nil {
-			t.Fatal(err)
-		}
-		return txt.String()
-	}
-	if a, b := render(1), render(4); a != b {
-		t.Fatalf("streaming digest differs between -jobs 1 and 4:\n%s\n---\n%s", a, b)
-	}
 }
 
 // TestObserverStreamsOrdered pins the contract the whole streaming

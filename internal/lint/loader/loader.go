@@ -202,7 +202,9 @@ func (ld *ldr) match(patterns []string) ([]string, error) {
 }
 
 // walk lists every root-relative directory containing at least one
-// non-test Go file, skipping testdata, hidden, and underscore dirs.
+// non-test Go file, skipping testdata, hidden, and underscore dirs, and
+// — like the go tool's ./... — any directory below the root that holds
+// its own go.mod: a nested module is not part of this one.
 func (ld *ldr) walk() ([]string, error) {
 	var out []string
 	err := filepath.WalkDir(ld.cfg.Dir, func(path string, d os.DirEntry, err error) error {
@@ -210,8 +212,14 @@ func (ld *ldr) walk() ([]string, error) {
 			return err
 		}
 		if d.IsDir() {
+			if path == ld.cfg.Dir {
+				return nil
+			}
 			name := d.Name()
-			if path != ld.cfg.Dir && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil

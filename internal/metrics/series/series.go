@@ -7,12 +7,11 @@
 // the *system* look like over time — which is what the report's
 // load/backlog charts plot.
 //
-// A Recorder is fed through the engines' existing Observer plumbing
-// (sim.Config.Observer, multi.Config.Observer, gsim.Config.Observer);
-// it buffers events and folds them on Series(), stable-sorting by
-// virtual time first so the partitioned engine's interleaved
-// per-partition streams fold identically to a globally ordered one.
-// Equal traces yield byte-identical CSV renderings.
+// A Stream folds online, fed through the engines' existing Observer
+// plumbing (sim.Config.Observer, multi.Config.Observer,
+// gsim.Config.Observer) — usually as part of an obs.Pipeline. FromEvents
+// replays a recorded slice through the same fold, stable-sorting by
+// virtual time first. Equal traces yield byte-identical CSV renderings.
 package series
 
 import (
@@ -135,30 +134,6 @@ func (s *Series) Totals() Point {
 		}
 	}
 	return t
-}
-
-// Recorder buffers trace events for folding. Like trace.Recorder it is
-// single-goroutine by design; attach it via Observer().
-type Recorder struct {
-	cfg Config
-	evs []trace.Event
-}
-
-// NewRecorder returns a Recorder folding with cfg.
-func NewRecorder(cfg Config) *Recorder { return &Recorder{cfg: cfg} }
-
-// Observe buffers one event.
-func (r *Recorder) Observe(e trace.Event) { r.evs = append(r.evs, e) }
-
-// Observer returns Observe bound as an engine callback.
-func (r *Recorder) Observer() func(trace.Event) { return r.Observe }
-
-// Events returns the buffered events.
-func (r *Recorder) Events() []trace.Event { return r.evs }
-
-// Series folds the buffered events; see FromEvents.
-func (r *Recorder) Series(horizon rtime.Time) (*Series, error) {
-	return FromEvents(r.evs, horizon, r.cfg)
 }
 
 // jobKey identifies a job across the stream.

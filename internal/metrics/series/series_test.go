@@ -93,7 +93,7 @@ func TestWindowFor(t *testing.T) {
 }
 
 // TestAgainstEngine cross-checks the fold against the uniprocessor
-// engine's own counters: an observer-fed Recorder's totals must match
+// engine's own counters: the folded totals of a recorded run must match
 // sim.Result exactly, and the busy level can never exceed one CPU.
 func TestAgainstEngine(t *testing.T) {
 	tasks := make([]*task.Task, 4)
@@ -107,17 +107,17 @@ func TestAgainstEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rec := series.NewRecorder(series.Config{Window: 1000, CPUs: 1})
+	rec := trace.NewRecorder(0)
 	res, err := sim.Run(sim.Config{
 		Tasks: tasks, Scheduler: rua.NewLockFree(), Mode: sim.LockFree,
 		R: 150, S: 5, OpCost: 0.02, Horizon: 60_000,
 		ArrivalKind: uam.KindJittered, Seed: 3, ConservativeRetry: true,
-		Observer: rec.Observer(),
+		Observer: rec.Record,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := rec.Series(res.Horizon)
+	s, err := series.FromEvents(rec.Events(), res.Horizon, series.Config{Window: 1000, CPUs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

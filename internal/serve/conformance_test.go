@@ -223,7 +223,7 @@ func TestServedTraceMatchesBatch(t *testing.T) {
 // TestServedReportMatchesBatch: the CSV+HTML report set and the metrics
 // digest served by the daemon are the batch bytes.
 func TestServedReportMatchesBatch(t *testing.T) {
-	specSrc := `{"stream":true,"metrics":true,"report":{}}`
+	specSrc := `{"metrics":true,"report":{}}`
 	_, ts := newTestServer(t, Config{Workers: 1, Jobs: 3})
 	_, served := runToCompletion(t, ts, specSrc, StateDone)
 
@@ -232,11 +232,11 @@ func TestServedReportMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildProfile: %v", err)
 	}
-	set, err := artifact.BuildReportSet(p, nil, true)
+	set, err := artifact.BuildReportSet(p, nil)
 	if err != nil {
 		t.Fatalf("BuildReportSet: %v", err)
 	}
-	digest, err := artifact.BuildMetrics(p, true)
+	digest, err := artifact.BuildMetrics(p)
 	if err != nil {
 		t.Fatalf("BuildMetrics: %v", err)
 	}
@@ -261,6 +261,23 @@ func TestServedBytesInvariantAcrossJobs(t *testing.T) {
 		sets = append(sets, served)
 	}
 	diffArtifacts(t, "jobs=1 vs jobs=4", sets[0], sets[1])
+}
+
+// TestStreamFieldSharesCache: the deprecated "stream" spec field selects
+// nothing, so a spec carrying it is the same scenario as its stream-less
+// twin — one cache line, one set of served bytes.
+func TestStreamFieldSharesCache(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	_, fresh := runToCompletion(t, ts, `{"metrics":true}`, StateDone)
+	status, doc := submit(t, ts, `{"metrics":true,"stream":true}`)
+	if status != http.StatusOK || doc["cache"] != "hit" || doc["state"] != string(StateDone) {
+		t.Fatalf("stream spec: status %d cache=%v state=%v, want 200 hit/done", status, doc["cache"], doc["state"])
+	}
+	cached := fetchArtifacts(t, ts, doc["id"].(string))
+	diffArtifacts(t, "stream spec vs stream-less spec", cached, fresh)
+	if st := srv.Stats(); st.Cache.Hits != 1 || st.Cache.Misses != 1 {
+		t.Errorf("cache hits/misses = %d/%d, want 1/1", st.Cache.Hits, st.Cache.Misses)
+	}
 }
 
 // TestConcurrentIdenticalSubmissions: many clients race the same spec;
