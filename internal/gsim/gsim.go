@@ -16,22 +16,32 @@
 // multiprocessors as future work; the gsim experiment quantifies that
 // gap empirically.
 //
+// The event loop, arrivals, per-job state, commit path (with the
+// commit-time validation above) and pass accounting live in
+// internal/sim/kernel, shared with the uniprocessor engine. This package
+// is the global dispatch policy on top: the scheduler's ranked top-K
+// (with abort decisions when it has them) and the stochastic ranked-list
+// shuffle, an affinity-preserving assignment of the ranking to CPUs,
+// instantaneous aborts, and a Preempt event whenever a running job is
+// stopped.
+//
 // Model simplifications relative to internal/sim (documented, validated):
-// abort handlers are instantaneous (AbortCost must be 0), and scheduler
-// overhead is modelled as a global dispatch latency.
+// abort handlers are instantaneous (AbortCost must be 0), explicit
+// Lock/Unlock sections are unsupported, and scheduler overhead is
+// modelled as a global dispatch latency. DESIGN.md tabulates every place
+// the two models diverge.
 package gsim
 
 import (
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 
 	"repro/internal/fault"
-	"repro/internal/resource"
 	"repro/internal/rtime"
-	"repro/internal/rtime/wheel"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/sim/kernel"
 	"repro/internal/stoch"
 	"repro/internal/task"
 	"repro/internal/trace"
@@ -81,29 +91,17 @@ type Config struct {
 	Stoch *stoch.Plan
 }
 
-func (c *Config) validate() error {
+func (c *Config) validate(kc *kernel.Config) error {
 	if c.CPUs < 1 {
 		return fmt.Errorf("%w: %d CPUs", ErrConfig, c.CPUs)
-	}
-	if len(c.Tasks) == 0 {
-		return fmt.Errorf("%w: no tasks", ErrConfig)
 	}
 	if c.Scheduler == nil {
 		return fmt.Errorf("%w: no scheduler", ErrConfig)
 	}
-	if c.Horizon <= 0 {
-		return fmt.Errorf("%w: horizon %v", ErrConfig, c.Horizon)
-	}
-	if c.R <= 0 || c.S <= 0 {
-		return fmt.Errorf("%w: access costs R=%v S=%v", ErrConfig, c.R, c.S)
-	}
-	if c.OpCost < 0 || math.IsNaN(c.OpCost) || math.IsInf(c.OpCost, 0) {
-		return fmt.Errorf("%w: op cost %v", ErrConfig, c.OpCost)
+	if err := kc.Validate(ErrConfig); err != nil {
+		return err
 	}
 	for _, t := range c.Tasks {
-		if err := t.Validate(); err != nil {
-			return err
-		}
 		if t.AbortCost != 0 {
 			return fmt.Errorf("%w: task %d has AbortCost %v; gsim models instantaneous handlers", ErrConfig, t.ID, t.AbortCost)
 		}
@@ -114,74 +112,29 @@ func (c *Config) validate() error {
 	return nil
 }
 
-type evKind int
-
-const (
-	evArrival evKind = iota
-	evCritical
-	evInternal
-	evDispatch
-	evPreempt // stochastic forced preemption at quantum expiry
-)
-
-// event is one scheduled occurrence, ordered by the timing wheel's
-// (at, push order) contract exactly as internal/sim's events are.
-type event struct {
-	at   rtime.Time
-	kind evKind
-	job  *task.Job
-	cpu  int
-	gen  int64
-}
-
-type jobState struct {
-	accessStart rtime.Time
-	midAccess   bool
-	casAttempt  int // phantom-CAS failures suffered on the current access
-}
-
 // Engine executes one global multiprocessor run.
 type Engine struct {
-	cfg Config
-	acc rtime.Duration
+	k *kernel.Kernel
+}
 
-	now    rtime.Time
-	events *wheel.Wheel[event]
-	res    *resource.Map
-	live   []*task.Job
-	all    []*task.Job
-
-	running     []*task.Job // per CPU
-	runPos      []rtime.Time
-	internalGen []int64
-
-	dispatchGen int64
-	pendingRun  []*task.Job
-	busyUntil   rtime.Time
-
-	states  map[*task.Job]*jobState
-	stSlab  []jobState         // slab the per-job states are carved from
-	selbuf  map[*task.Job]bool // applyAssignment scratch: selected set
-	plcbuf  map[*task.Job]bool // applyAssignment scratch: placed set
-	shufBuf []*task.Job        // stochastic ranked-shuffle scratch (reused)
-
-	res1 sim.Result
-	fail error
+// global is the global top-M dispatch policy.
+type global struct {
+	k       *kernel.Kernel
+	cfg     Config
+	pending []*task.Job // the latest pass's ranking, awaiting its overhead
+	sel     []*task.Job // Dispatch scratch: the jobs selected for the CPUs
+	shufBuf []*task.Job // stochastic ranked-shuffle scratch (reused)
 }
 
 // New builds an engine.
 func New(cfg Config) (*Engine, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	kc := kernel.Config{
+		Tasks: cfg.Tasks, Mode: cfg.Mode, R: cfg.R, S: cfg.S, OpCost: cfg.OpCost, Horizon: cfg.Horizon,
+		ArrivalKind: cfg.ArrivalKind, Seed: cfg.Seed, Arrivals: cfg.Arrivals, Observer: cfg.Observer,
+		Fault: cfg.Fault, Stoch: cfg.Stoch, CPUs: cfg.CPUs, UnboundCPU: -1,
 	}
-	e := &Engine{
-		cfg:         cfg,
-		res:         resource.NewMap(),
-		running:     make([]*task.Job, cfg.CPUs),
-		runPos:      make([]rtime.Time, cfg.CPUs),
-		internalGen: make([]int64, cfg.CPUs),
-		selbuf:      make(map[*task.Job]bool, cfg.CPUs),
-		plcbuf:      make(map[*task.Job]bool, cfg.CPUs),
+	if err := cfg.validate(&kc); err != nil {
+		return nil, err
 	}
 	if so, ok := cfg.Scheduler.(interface{ SetObserver(func(trace.Event)) }); ok {
 		// Scheduler-emitted events (RUA feasibility tests) are unbound to
@@ -196,529 +149,131 @@ func New(cfg Config) (*Engine, error) {
 			})
 		}
 	}
-	if cfg.Mode == sim.LockBased {
-		e.acc = cfg.R
-	} else {
-		e.acc = cfg.S
+	g := &global{cfg: cfg, sel: make([]*task.Job, 0, cfg.CPUs)}
+	k, err := kernel.New(kc, g)
+	if err != nil {
+		return nil, err
 	}
-	traces := make([]uam.Trace, len(cfg.Tasks))
-	injected := make([][]bool, len(cfg.Tasks))
-	arrivals := 0
-	for i, t := range cfg.Tasks {
-		var tr uam.Trace
-		if cfg.Arrivals != nil {
-			if i < len(cfg.Arrivals) {
-				tr = cfg.Arrivals[i]
-			}
-		} else {
-			g, err := uam.NewGenerator(t.Arrival, cfg.Seed+int64(i)*7919)
-			if err != nil {
-				return nil, err
-			}
-			tr = g.Generate(cfg.ArrivalKind, cfg.Horizon)
-		}
-		traces[i], injected[i] = cfg.Fault.PerturbArrivals(t.ID, tr, cfg.Horizon)
-		arrivals += len(traces[i])
-	}
-	// Pre-size the wheel arena and all per-job bookkeeping to the known
-	// arrival count so the steady-state event loop allocates nothing.
-	e.events = wheel.New[event](2*arrivals + 8)
-	e.all = make([]*task.Job, 0, arrivals)
-	e.states = make(map[*task.Job]*jobState, arrivals)
-	e.stSlab = make([]jobState, arrivals)
+	g.k = k
 	if cfg.Stoch.Active() {
-		// Ranked lists never exceed the live set, which never exceeds
-		// total arrivals; pre-sizing keeps the shuffle allocation-free.
-		e.shufBuf = make([]*task.Job, 0, arrivals)
+		// Rankings never exceed the live set, which never exceeds total
+		// arrivals; sizing the scratch here keeps the shuffle
+		// allocation-free.
+		g.shufBuf = make([]*task.Job, cap(k.Live))
 	}
-	for i, t := range cfg.Tasks {
-		u := t.ComputeTime()
-		for k, at := range traces[i] {
-			j := task.NewJob(t, k, at)
-			if injected[i] != nil && injected[i][k] {
-				j.Injected = true
-			}
-			j.SetOverrun(cfg.Fault.Overrun(t.ID, k, u))
-			e.push(event{at: at, kind: evArrival, job: j})
-		}
-	}
-	return e, nil
-}
-
-func (e *Engine) push(ev event) {
-	e.events.Push(ev.at, ev)
-}
-
-func (e *Engine) st(j *task.Job) *jobState {
-	s := e.states[j]
-	if s == nil {
-		// Carve from the slab New pre-allocated for every arrival; the
-		// batch refill is a safety net that never fires on a normal run.
-		if len(e.stSlab) == 0 {
-			//rtlint:ignore noalloc batch refill safety net; New pre-sizes the slab for every arrival
-			e.stSlab = make([]jobState, 64)
-		}
-		s = &e.stSlab[0]
-		e.stSlab = e.stSlab[1:]
-		//rtlint:ignore noalloc map pre-sized in New for every arrival; buckets never grow on a normal run
-		e.states[j] = s
-	}
-	return s
-}
-
-func (e *Engine) pushInternal(cpu int, at rtime.Time) {
-	e.internalGen[cpu]++
-	e.push(event{at: at, kind: evInternal, cpu: cpu, gen: e.internalGen[cpu]})
-}
-
-func (e *Engine) failWith(err error) {
-	if e.fail == nil {
-		e.fail = err
-	}
-}
-
-// emit reports a job-bound trace event to the configured observer.
-func (e *Engine) emit(at rtime.Time, kind trace.Kind, j *task.Job, obj, cpu int) {
-	if e.cfg.Observer == nil || j == nil {
-		return
-	}
-	e.cfg.Observer(trace.Event{At: at, Kind: kind, Task: j.Task.ID, Seq: j.Seq, Object: obj, CPU: cpu})
-}
-
-// emitSched reports a scheduler-level event (no job, no CPU: the global
-// scheduler is not bound to a processor in this model).
-func (e *Engine) emitSched(at rtime.Time, kind trace.Kind, ops int64) {
-	if e.cfg.Observer == nil {
-		return
-	}
-	e.cfg.Observer(trace.Event{At: at, Kind: kind, Task: -1, Seq: -1, Object: -1, CPU: -1, Ops: ops})
+	return &Engine{k: k}, nil
 }
 
 // Run executes to the horizon.
 //
-//rtlint:noalloc steady state carves from pre-sized slabs and reused scratch (PR-6 contract)
-func (e *Engine) Run() sim.Result {
-	for e.events.Len() > 0 && e.fail == nil {
-		_, ev, _ := e.events.Pop()
-		if ev.at > e.cfg.Horizon {
-			break
-		}
-		if ev.kind == evInternal && ev.gen != e.internalGen[ev.cpu] {
-			continue
-		}
-		if (ev.kind == evDispatch || ev.kind == evPreempt) && ev.gen != e.dispatchGen {
-			continue
-		}
-		e.now = ev.at
-		needResched := false
-		switch ev.kind {
-		case evArrival:
-			needResched = e.settleAll()
-			j := ev.job
-			//rtlint:ignore noalloc bounded by total arrivals; reaches steady capacity at warm-up
-			e.live = append(e.live, j)
-			//rtlint:ignore noalloc pre-sized in New for every arrival
-			e.all = append(e.all, j)
-			e.res1.Arrivals++
-			e.emit(e.now, trace.Arrival, j, -1, -1)
-			if j.Injected {
-				e.res1.FaultArrivals++
-				e.emit(e.now, trace.FaultArrival, j, -1, -1)
-			}
-			if j.Overrun > 0 {
-				e.res1.FaultOverruns++
-				e.emit(e.now, trace.FaultOverrun, j, -1, -1)
-			}
-			e.push(event{at: j.AbsoluteCriticalTime(), kind: evCritical, job: j})
-			needResched = true
-		case evCritical:
-			needResched = e.settleAll()
-			if !ev.job.Done() {
-				e.abort(ev.job)
-				needResched = true
-			}
-		case evInternal:
-			needResched = e.settleCPU(ev.cpu)
-		case evDispatch:
-			needResched = e.settleAll()
-			e.applyAssignment(e.pendingRun)
-		case evPreempt:
-			// The stochastic quantum on ev.cpu expired with the
-			// assignment round still current (gen-guarded above):
-			// force a global scheduling pass.
-			needResched = e.settleAll()
-			if e.running[ev.cpu] != nil {
-				needResched = true
-			}
-		}
-		if needResched && e.fail == nil {
-			e.reschedule()
-		}
-	}
-	e.res1.Jobs = e.all
-	e.res1.Horizon = e.cfg.Horizon
-	e.res1.Err = e.fail
-	var retries int64
-	for _, j := range e.all {
-		retries += j.Retries
-	}
-	e.res1.Retries = retries
-	return e.res1
-}
+//rtlint:noalloc the kernel's run loop and this engine's policy methods are verified noalloc
+func (e *Engine) Run() sim.Result { return e.k.Run() }
 
-// settleAll advances every CPU to e.now and reports whether any of them
-// hit a scheduling-event boundary (lock traffic, completion) exactly
-// there.
-func (e *Engine) settleAll() bool {
-	any := false
-	for cpu := range e.running {
-		if e.settleCPU(cpu) {
-			any = true
-		}
-	}
-	return any
-}
-
-func (e *Engine) settleCPU(cpu int) bool {
-	j := e.running[cpu]
-	if j == nil {
-		return false
-	}
-	resched := false
-	delta := e.now.Sub(e.runPos[cpu])
-	for {
-		used, stepEv := j.Step(delta, e.acc)
-		delta -= used
-		e.runPos[cpu] = e.runPos[cpu].Add(used)
-		e.res1.ExecTime += used
-		switch stepEv {
-		case task.StepBudget:
-			return resched
-		case task.StepAccessStart:
-			obj, _ := j.AtAccessStart()
-			if e.cfg.Mode == sim.LockFree {
-				e.st(j).accessStart = e.runPos[cpu]
-				e.pushInternal(cpu, e.runPos[cpu].Add(j.TimeToBoundary(e.acc)))
-				continue
-			}
-			granted, _, err := e.res.TryAcquire(j, obj)
-			if err != nil {
-				e.failWith(err)
-				return false
-			}
-			e.res1.LockEvents++
-			if granted {
-				e.emit(e.runPos[cpu], trace.LockAcquire, j, obj, cpu)
-			} else {
-				j.State = task.Blocked
-				e.emit(e.runPos[cpu], trace.Block, j, obj, cpu)
-			}
-			e.stopCPU(cpu)
-			return true
-		case task.StepAccessEnd:
-			obj := j.Task.Segments[j.SegIdx-1].Object
-			if e.cfg.Mode == sim.LockFree {
-				// Commit-time validation: a conflicting commit since this
-				// access began fails the CAS; re-run the access.
-				st := e.st(j)
-				if e.res.CommittedAfter(obj, st.accessStart) {
-					j.SegIdx--
-					j.SegDone = 0
-					j.Retries++
-					e.emit(e.runPos[cpu], trace.Retry, j, obj, cpu)
-					st.accessStart = e.runPos[cpu]
-					e.pushInternal(cpu, e.runPos[cpu].Add(j.TimeToBoundary(e.acc)))
-					continue
-				}
-				// A commit that survives real validation can still lose to
-				// an injected phantom writer.
-				if e.cfg.Fault.PhantomCAS(j.Task.ID, j.Seq, j.SegIdx-1, st.casAttempt) {
-					st.casAttempt++
-					j.SegIdx--
-					j.SegDone = 0
-					j.Retries++
-					e.res1.FaultRetries++
-					e.emit(e.runPos[cpu], trace.FaultRetry, j, obj, cpu)
-					st.accessStart = e.runPos[cpu]
-					e.pushInternal(cpu, e.runPos[cpu].Add(j.TimeToBoundary(e.acc)))
-					continue
-				}
-				st.casAttempt = 0
-				e.res.RecordCommit(obj, e.runPos[cpu])
-				e.emit(e.runPos[cpu], trace.Commit, j, obj, cpu)
-				e.pushInternal(cpu, e.runPos[cpu].Add(j.TimeToBoundary(e.acc)))
-				continue
-			}
-			if err := e.res.Release(j, obj); err != nil {
-				e.failWith(err)
-				return false
-			}
-			e.res1.LockEvents++
-			e.emit(e.runPos[cpu], trace.LockRelease, j, obj, cpu)
-			e.stopCPU(cpu)
-			return true
-		case task.StepCompleted:
-			j.State = task.Completed
-			j.Completion = e.runPos[cpu]
-			e.res.ReleaseAll(j)
-			e.res1.Completions++
-			e.emit(e.runPos[cpu], trace.Complete, j, -1, cpu)
-			e.removeLive(j)
-			e.running[cpu] = nil
-			return true
-		case task.StepLock, task.StepUnlock:
-			//rtlint:ignore noalloc failure path: the run is aborting with a diagnostic
-			e.failWith(fmt.Errorf("gsim: explicit lock boundaries unsupported"))
-			return false
-		}
-	}
-}
-
-func (e *Engine) stopCPU(cpu int) {
-	j := e.running[cpu]
-	if j == nil {
-		return
-	}
-	if _, in := j.InAccess(); in && e.cfg.Mode == sim.LockFree {
-		e.st(j).midAccess = true
-	}
-	if j.State == task.Running {
-		j.State = task.Ready
-		// Unlike internal/sim (whose Preempt marks the NEXT dispatch),
-		// the global engine events every deschedule at stop time. The
-		// event is stamped e.now, not runPos[cpu]: a reschedule reached
-		// from a single-CPU boundary (evInternal) may stop a CPU that was
-		// not settled this event, whose runPos still sits at an earlier
-		// instant — but the job occupied the CPU until now, and stamping
-		// now keeps the observer stream nondecreasing in virtual time
-		// (the ordering contract internal/obs streams over).
-		e.emit(e.now, trace.Preempt, j, -1, cpu)
-	}
-	e.running[cpu] = nil
-}
-
-func (e *Engine) abort(j *task.Job) {
-	for cpu, r := range e.running {
-		if r == j {
-			// Marking the abort first keeps stopCPU from reporting a
-			// spurious preemption for the departing job.
-			j.State = task.Aborting
-			e.stopCPU(cpu)
-		}
-	}
-	j.State = task.Aborted
-	j.AbortedAt = e.now
-	// Handlers are instantaneous in this model (AbortCost must be 0), so
-	// begin and done coincide.
-	e.emit(e.now, trace.AbortBegin, j, -1, -1)
-	e.emit(e.now, trace.AbortDone, j, -1, -1)
-	e.res.ReleaseAll(j)
-	e.removeLive(j)
-	e.res1.Aborts++
-}
-
-func (e *Engine) removeLive(j *task.Job) {
-	for i, x := range e.live {
-		if x == j {
-			//rtlint:ignore noalloc copy-down within the same backing array; never grows
-			e.live = append(e.live[:i], e.live[i+1:]...)
-			return
-		}
-	}
-}
-
-func (e *Engine) reschedule() {
-	w := sched.World{
-		Now:       e.now,
-		Jobs:      e.live,
-		Res:       e.res,
-		Acc:       e.acc,
-		LockBased: e.cfg.Mode == sim.LockBased,
-	}
+// Pass ranks every live job; a picked stochastic pass shuffles the
+// ranking.
+//
+//rtlint:noalloc reached from the kernel's run loop once per scheduling pass
+func (g *global) Pass() (int64, []*task.Job) {
+	w := g.k.World()
 	var ranked, aborts []*task.Job
 	var ops int64
-	if ab, ok := e.cfg.Scheduler.(sched.TopKAborter); ok {
+	if ab, ok := g.cfg.Scheduler.(sched.TopKAborter); ok {
 		// Schedulers with abort decisions (RUA's admission-control
 		// shedding) surface them here; plain TopK schedulers cannot.
-		ranked, aborts, ops = ab.SelectTopKAbort(w, len(e.live))
+		ranked, aborts, ops = ab.SelectTopKAbort(w, len(w.Jobs))
 	} else {
-		ranked, ops = e.cfg.Scheduler.SelectTopK(w, len(e.live))
+		ranked, ops = g.cfg.Scheduler.SelectTopK(w, len(w.Jobs))
 	}
 	if len(ranked) > 1 {
 		// Stochastic pick, ranked-dispatch form: a picked pass runs a
 		// deterministic Fisher–Yates over a copy of the ranking, so the
 		// top-M slots become a uniform random draw from the live set.
-		if _, ok := e.cfg.Stoch.Pick(-1, e.now, len(ranked)); ok {
-			//rtlint:ignore noalloc copies into the reused shuffle buffer; bounded by live jobs, steady capacity at warm-up
-			ranked = append(e.shufBuf[:0], ranked...)
-			e.shufBuf = ranked
+		if _, ok := g.cfg.Stoch.Pick(-1, w.Now, len(ranked)); ok {
+			ranked = g.shufBuf[:copy(g.shufBuf, ranked)]
 			for i := len(ranked) - 1; i > 0; i-- {
-				k := e.cfg.Stoch.Swap(-1, e.now, i)
+				k := g.cfg.Stoch.Swap(-1, w.Now, i)
 				ranked[i], ranked[k] = ranked[k], ranked[i]
 			}
 		}
 	}
-	e.res1.SchedInvocations++
-	e.res1.SchedOps += ops
-	e.emitSched(e.now, trace.SchedPass, ops)
-	overhead := rtime.Duration(math.Round(float64(ops) * e.cfg.OpCost))
-	e.res1.Overhead += overhead
-	if stall := e.cfg.Fault.Stall(e.res1.SchedInvocations); stall > 0 {
-		e.res1.FaultStalls++
-		e.res1.StallTime += stall
-		e.emitSched(e.now, trace.FaultStall, int64(stall))
-		overhead += stall
-	}
-	e.res1.SchedAborts += int64(len(aborts))
-	for _, v := range aborts {
-		if !v.Done() {
-			e.abort(v)
-		}
-	}
-	e.dispatchGen++
-	e.pendingRun = ranked
-	start := rtime.MaxTime(e.busyUntil, e.now)
-	e.busyUntil = start.Add(overhead)
-	if e.busyUntil.After(e.now) {
-		e.push(event{at: e.busyUntil, kind: evDispatch, gen: e.dispatchGen})
-		return
-	}
-	e.applyAssignment(ranked)
+	g.pending = ranked
+	return ops, aborts
 }
 
-// applyAssignment maps the ranked job list onto the CPUs: jobs keep their
-// CPU if re-selected in the top slots (affinity); remaining CPUs fill
-// from the ranked list in priority order. A dispatch can fail benignly —
-// an earlier dispatch in the same round may have taken the lock a later
-// candidate needs, blocking it at its boundary — in which case the next
-// ranked job backfills.
-func (e *Engine) applyAssignment(ranked []*task.Job) {
-	selected := e.selbuf
-	clear(selected)
-	count := 0
-	for _, j := range ranked {
-		if count == e.cfg.CPUs {
+// Dispatch maps the ranking onto the CPUs: jobs keep their CPU if
+// re-selected in the top slots (affinity); remaining CPUs fill from the
+// ranking in priority order. A dispatch can fail benignly — an earlier
+// dispatch in the same round may have taken the lock a later candidate
+// needs, blocking it at its boundary — in which case the next ranked job
+// backfills.
+//
+//rtlint:noalloc reached from the kernel's run loop once per dispatch
+func (g *global) Dispatch() {
+	k := g.k
+	w := k.World()
+	g.sel = g.sel[:0]
+	for _, j := range g.pending {
+		if len(g.sel) == cap(g.sel) {
 			break
 		}
-		if j.Done() || j.State == task.Aborting || selected[j] || !e.runnableNow(j) {
-			continue
+		if sched.Runnable(w, j) && !slices.Contains(g.sel, j) {
+			g.sel = g.sel[:len(g.sel)+1]
+			g.sel[len(g.sel)-1] = j
 		}
-		//rtlint:ignore noalloc cleared scratch map sized to CPUs; buckets never grow after warm-up
-		selected[j] = true
-		count++
 	}
 	// Stop de-selected runners.
-	for cpu, r := range e.running {
-		if r != nil && !selected[r] {
-			e.stopCPU(cpu)
+	for cpu, r := range k.Running {
+		if r != nil && !slices.Contains(g.sel, r) {
+			k.Stop(cpu)
 		}
 	}
-	placed := e.plcbuf
-	clear(placed)
-	for _, r := range e.running {
-		if r != nil {
-			//rtlint:ignore noalloc cleared scratch map sized to CPUs; buckets never grow after warm-up
-			placed[r] = true
-		}
-	}
-	// Fill free CPUs from the ranked list, skipping jobs that block at
-	// dispatch time.
-	for _, j := range ranked {
-		cpu := e.freeCPU()
-		if cpu < 0 || e.fail != nil {
+	// Fill free CPUs from the ranking, skipping jobs already placed and
+	// jobs that block at dispatch time.
+	for _, j := range g.pending {
+		cpu := slices.Index(k.Running, nil)
+		if cpu < 0 || k.Err() != nil {
 			break
 		}
-		if j.Done() || j.State == task.Aborting || placed[j] {
-			continue
-		}
-		if e.tryDispatch(cpu, j) {
-			//rtlint:ignore noalloc cleared scratch map sized to CPUs; buckets never grow after warm-up
-			placed[j] = true
+		if !j.Done() && j.State != task.Aborting && !slices.Contains(k.Running, j) {
+			g.start(cpu, j)
 		}
 	}
 }
 
-func (e *Engine) freeCPU() int {
-	for cpu, r := range e.running {
-		if r == nil {
-			return cpu
+// start dispatches j onto cpu unless it blocks at its lock boundary (a
+// benign outcome of a same-round acquisition by a higher-ranked job).
+func (g *global) start(cpu int, j *task.Job) {
+	k := g.k
+	if st := k.State(j); st.MidAccess {
+		st.MidAccess = false
+		if obj, in := j.InAccess(); in && k.Res.CommittedAfter(obj, st.AccessStart) {
+			k.Restart(cpu, j)
 		}
 	}
-	return -1
+	if obj, ok := j.AtAccessStart(); ok && k.LockBased() && k.Res.Owner(obj) != j && !k.Acquire(cpu, j, obj, k.Now) {
+		return
+	}
+	k.Start(cpu, j)
 }
 
-// runnableNow mirrors sched.Runnable plus "not already running" checks
-// handled by the caller.
-func (e *Engine) runnableNow(j *task.Job) bool {
-	if e.cfg.Mode != sim.LockBased {
-		return true
-	}
-	if obj, ok := j.AtAccessStart(); ok {
-		if owner := e.res.Owner(obj); owner != nil && owner != j {
-			return false
-		}
-	}
-	if obj, ok := e.res.WaitingFor(j); ok {
-		if owner := e.res.Owner(obj); owner != nil && owner != j {
-			return false
-		}
-	}
-	return true
+// Abort retires the job at once: handlers are instantaneous here.
+//
+//rtlint:noalloc reached from the kernel's run loop once per abort
+func (g *global) Abort(j *task.Job) {
+	g.k.Retire(j)
+	g.k.RemoveLive(j)
 }
 
-// tryDispatch attempts to start j on cpu; it reports false when the job
-// blocks at its lock boundary instead of running (a benign outcome of
-// same-round lock acquisition by a higher-priority job).
-func (e *Engine) tryDispatch(cpu int, j *task.Job) bool {
-	st := e.st(j)
-	if st.midAccess {
-		st.midAccess = false
-		if obj, in := j.InAccess(); in && e.res.CommittedAfter(obj, st.accessStart) {
-			j.RestartAccess()
-			e.emit(e.now, trace.Retry, j, obj, cpu)
-		}
-	}
-	if e.cfg.Mode == sim.LockBased {
-		if obj, ok := j.AtAccessStart(); ok {
-			switch owner := e.res.Owner(obj); {
-			case owner == j:
-			case owner == nil:
-				if _, _, err := e.res.TryAcquire(j, obj); err != nil {
-					e.failWith(err)
-					return false
-				}
-				e.res1.LockEvents++
-				e.emit(e.now, trace.LockAcquire, j, obj, cpu)
-			default:
-				// Lock taken earlier in this same assignment round:
-				// register the wait and leave the CPU for the next
-				// candidate.
-				if _, _, err := e.res.TryAcquire(j, obj); err != nil {
-					e.failWith(err)
-					return false
-				}
-				e.res1.LockEvents++
-				j.State = task.Blocked
-				e.emit(e.now, trace.Block, j, obj, cpu)
-				return false
-			}
-		}
-	} else if _, ok := j.AtAccessStart(); ok {
-		st.accessStart = e.now
-	}
-	j.State = task.Running
-	j.Disp++
-	e.running[cpu] = j
-	e.runPos[cpu] = e.now
-	e.res1.CtxSwitches++
-	e.emit(e.now, trace.Dispatch, j, -1, cpu)
-	e.pushInternal(cpu, e.now.Add(j.TimeToBoundary(e.acc)))
-	if q := e.cfg.Stoch.Step(cpu, e.now); q > 0 {
-		// Arm the stochastic quantum: a forced preemption unless a
-		// newer assignment round (gen bump) supersedes this dispatch.
-		e.push(event{at: e.now.Add(q), kind: evPreempt, cpu: cpu, gen: e.dispatchGen})
-	}
-	return true
+// Descheduled reports the preemption at stop time. It is stamped at the
+// current event, not at the CPU's settled position: a pass reached from
+// another CPU's boundary may stop a CPU that was not settled this event,
+// but the job occupied it until now, and stamping now keeps the observer
+// stream nondecreasing in virtual time (the ordering contract
+// internal/obs streams over).
+//
+//rtlint:noalloc reached from the kernel's run loop once per deschedule
+func (g *global) Descheduled(cpu int, j *task.Job) {
+	g.k.Emit(g.k.Now, trace.Preempt, j, -1, cpu)
 }
 
 // Run is a convenience wrapper.

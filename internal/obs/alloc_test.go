@@ -3,6 +3,7 @@ package obs_test
 import (
 	"testing"
 
+	"repro/internal/metrics/hist"
 	"repro/internal/obs"
 	"repro/internal/rtime"
 	"repro/internal/trace"
@@ -91,6 +92,27 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// warmPasses is how many replay passes push every per-object ops
+// histogram past its exact-sample cap. Below the cap a histogram's sample
+// buffer still grows by append: a bounded warm-up cost (≤ 512 KB per
+// histogram), not a per-event one, which would otherwise surface as a
+// fractional B/op whenever b.N is small enough.
+func warmPasses(events []trace.Event) int {
+	perObj := map[int]int{}
+	for _, e := range events {
+		if e.Kind == trace.Commit {
+			perObj[e.Object]++
+		}
+	}
+	least := 0
+	for _, n := range perObj {
+		if least == 0 || n < least {
+			least = n
+		}
+	}
+	return hist.DefaultExactCap/least + 1
+}
+
 // BenchmarkPipelineObserve measures the per-event cost of the full
 // pipeline (span fold + series fold + ops fold + flight ring) in its
 // steady state. The interesting number is B/op: the streaming
@@ -98,7 +120,8 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 func BenchmarkPipelineObserve(b *testing.B) {
 	b.StopTimer()
 	events, span := recordReference(b)
-	passes := b.N/len(events) + 2
+	warm := warmPasses(events)
+	passes := warm + b.N/len(events) + 2
 	p, err := obs.NewPipeline(obs.Config{
 		Horizon:      span * rtime.Time(passes+2),
 		CPUs:         1,
@@ -108,12 +131,16 @@ func BenchmarkPipelineObserve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	replay(p, events, 0, span) // warm: fill the ring, size the maps
+	// Warm: fill the ring, size the maps, and retire every histogram's
+	// exact-sample buffer.
+	for pass := 0; pass < warm; pass++ {
+		replay(p, events, pass, span)
+	}
 	b.ReportAllocs()
 	b.StartTimer()
-	pass, i := 1, 0
-	atOff := span
-	seqOff := 1_000_000
+	pass, i := warm, 0
+	atOff := span * rtime.Time(warm)
+	seqOff := warm * 1_000_000
 	for n := 0; n < b.N; n++ {
 		e := events[i]
 		e.At += atOff

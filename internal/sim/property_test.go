@@ -9,6 +9,7 @@ import (
 	"repro/internal/rua"
 	"repro/internal/sched"
 	"repro/internal/task"
+	"repro/internal/trace"
 	"repro/internal/tuf"
 	"repro/internal/uam"
 )
@@ -55,7 +56,11 @@ func randomWorkload(nRaw, aRaw uint8, execRaw, cRaw uint16, mRaw, objRaw, classR
 //  3. completed jobs finish after their arrival and accrue ≤ MaxUtility,
 //  4. no job retries in lock-based mode, no job blocks in lock-free mode,
 //  5. each job's lock-free retries respect the Theorem 2 bound,
-//  6. virtual-time accounting: exec + overhead + handlers ≤ horizon.
+//  6. virtual-time accounting: exec + overhead + handlers ≤ horizon,
+//  7. every lock-free retry happens at a resume (the retried job's own
+//     Dispatch follows, after at most the previous job's Preempt): the
+//     kernel's commit-time validation, shared with the global engine,
+//     never fires on one processor.
 func TestQuickEngineInvariants(t *testing.T) {
 	f := func(nRaw, aRaw uint8, execRaw, cRaw uint16, mRaw, objRaw, classRaw uint8,
 		seed int64, modeRaw, schedRaw, kindRaw uint8) bool {
@@ -87,15 +92,33 @@ func TestQuickEngineInvariants(t *testing.T) {
 			}
 		}
 		horizon := rtime.Time(20 * maxC)
+		var retried *trace.Event // a Retry still waiting for its Dispatch
+		resumeOnly := true
 		res, err := Run(Config{
 			Tasks: tasks, Scheduler: s, Mode: mode,
 			R: 40, S: 7, OpCost: 0.01,
 			Horizon:     horizon,
 			ArrivalKind: uam.Kind(kindRaw % 3), Seed: seed,
-			ConservativeRetry: true,
+			ConservativeRetry: modeRaw&2 == 0,
+			Observer: func(ev trace.Event) {
+				switch {
+				case ev.Kind == trace.Retry:
+					resumeOnly = resumeOnly && retried == nil
+					retried = &ev
+				case retried == nil || ev.Kind == trace.Preempt:
+				case ev.Kind == trace.Dispatch && ev.Task == retried.Task && ev.Seq == retried.Seq:
+					retried = nil
+				default:
+					resumeOnly = false
+				}
+			},
 		})
 		if err != nil {
 			t.Logf("engine error (mode=%v sched=%s): %v", mode, s.Name(), err)
+			return false
+		}
+		if !resumeOnly || retried != nil {
+			t.Logf("a retry outside a resume (mode=%v sched=%s)", mode, s.Name())
 			return false
 		}
 		var done, live int64

@@ -7,6 +7,15 @@
 // decision cost — measured in charged operations — is converted into
 // virtual scheduling overhead occupying the CPU.
 //
+// The event loop, arrivals, per-job state, commit path and pass
+// accounting live in internal/sim/kernel, which internal/gsim runs on
+// too. This package is the uniprocessor dispatch policy on top: the
+// scheduler's Select (with the stochastic uniform pick), stop-all then
+// re-dispatch at every pass, §3.6 abort handlers that occupy the CPU,
+// explicit Lock/Unlock sections, and resume-time retry of a preempted
+// lock-free access. DESIGN.md tabulates where this model and the global
+// one differ.
+//
 // Why a simulator: the paper's claims are statements about scheduling
 // event sequences (who preempts whom, how many retries an access suffers,
 // how overhead scales with the ready-queue length), not about wall-clock
@@ -20,13 +29,11 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/fault"
-	"repro/internal/resource"
 	"repro/internal/rtime"
-	"repro/internal/rtime/wheel"
 	"repro/internal/sched"
+	"repro/internal/sim/kernel"
 	"repro/internal/stoch"
 	"repro/internal/task"
 	"repro/internal/trace"
@@ -34,26 +41,21 @@ import (
 )
 
 // Mode selects the synchronization substrate.
-type Mode int
+type Mode = kernel.Mode
 
 // Synchronization modes.
 const (
 	// LockBased serializes object accesses with locks; lock and unlock
 	// requests are scheduling events (§3).
-	LockBased Mode = iota
+	LockBased = kernel.LockBased
 	// LockFree lets accesses run optimistically; the only scheduling
 	// events are job arrivals and departures (§4.1), and a preempted
 	// access retries on resume.
-	LockFree
+	LockFree = kernel.LockFree
 )
 
-// String renders the mode.
-func (m Mode) String() string {
-	if m == LockFree {
-		return "lock-free"
-	}
-	return "lock-based"
-}
+// Result aggregates a finished run.
+type Result = kernel.Result
 
 // ErrConfig reports an invalid simulation configuration.
 var ErrConfig = errors.New("sim: invalid config")
@@ -126,735 +128,184 @@ type Config struct {
 	StochCPU int
 }
 
-func (c *Config) validate() error {
-	if len(c.Tasks) == 0 {
-		return fmt.Errorf("%w: no tasks", ErrConfig)
-	}
+func (c *Config) validate(kc *kernel.Config) error {
 	if c.Scheduler == nil {
 		return fmt.Errorf("%w: no scheduler", ErrConfig)
 	}
-	if c.Horizon <= 0 {
-		return fmt.Errorf("%w: horizon %v must be positive", ErrConfig, c.Horizon)
-	}
-	if c.R <= 0 || c.S <= 0 {
-		return fmt.Errorf("%w: access costs R=%v S=%v must be positive", ErrConfig, c.R, c.S)
-	}
-	if c.OpCost < 0 || math.IsNaN(c.OpCost) || math.IsInf(c.OpCost, 0) {
-		return fmt.Errorf("%w: op cost %v", ErrConfig, c.OpCost)
+	if err := kc.Validate(ErrConfig); err != nil {
+		return err
 	}
 	for _, t := range c.Tasks {
-		if err := t.Validate(); err != nil {
-			return err
-		}
 		if c.Mode == LockFree && t.UsesExplicitSections() {
 			return fmt.Errorf("%w: task %d uses explicit Lock/Unlock sections, which the lock-free model excludes (§2)", ErrConfig, t.ID)
-		}
-	}
-	if c.Arrivals != nil {
-		if len(c.Arrivals) > len(c.Tasks) {
-			return fmt.Errorf("%w: %d arrival traces for %d tasks", ErrConfig, len(c.Arrivals), len(c.Tasks))
-		}
-		for i, tr := range c.Arrivals {
-			for k, at := range tr {
-				if k > 0 && at < tr[k-1] {
-					return fmt.Errorf("%w: arrival trace %d is not sorted", ErrConfig, i)
-				}
-				if at < 0 || at >= c.Horizon {
-					return fmt.Errorf("%w: arrival trace %d: %v outside [0, %v)", ErrConfig, i, at, c.Horizon)
-				}
-			}
 		}
 	}
 	return nil
 }
 
-// Result aggregates a finished run.
-type Result struct {
-	Jobs []*task.Job // every job released before the horizon
-
-	Arrivals    int64
-	Completions int64
-	Aborts      int64
-
-	SchedInvocations int64
-	SchedOps         int64
-	LockEvents       int64
-	CtxSwitches      int64
-	Retries          int64 // Σ per-job lock-free retries
-
-	ExecTime    rtime.Duration // CPU time spent executing jobs
-	Overhead    rtime.Duration // CPU time spent in the scheduler
-	HandlerTime rtime.Duration // CPU time spent in abort handlers
-
-	// AccessTime is the summed effective object-access latency: from a
-	// job's first arrival at an access boundary to the access's commit,
-	// including blocking, preemption, and retries. AccessTime/Accesses is
-	// the measured r (lock-based) or s (lock-free) of Fig 8.
-	AccessTime rtime.Duration
-	Accesses   int64
-
-	// Fault-injection accounting; all zero on fault-free runs.
-	FaultArrivals int64 // jobs whose release was jittered or injected
-	FaultOverruns int64 // jobs carrying hidden execution demand
-	FaultRetries  int64 // lock-free retries forced by phantom writers
-	FaultStalls   int64 // scheduler passes hit by a transient stall
-	SchedAborts   int64 // jobs aborted by scheduler decision (sheds, deadlock victims)
-
-	StallTime rtime.Duration // CPU time lost to injected stalls
-
-	Horizon rtime.Time
-	Err     error
-}
-
-// Busy returns the total CPU time consumed: job execution, scheduler
-// overhead, abort handlers, and injected stalls.
-func (r Result) Busy() rtime.Duration {
-	return r.ExecTime + r.Overhead + r.HandlerTime + r.StallTime
-}
-
-// Utilization returns Busy divided by the horizon, the processor's
-// long-run utilization over the run.
-func (r Result) Utilization() float64 {
-	if r.Horizon <= 0 {
-		return 0
-	}
-	return float64(r.Busy()) / float64(r.Horizon)
-}
-
-type evKind int
-
-const (
-	evArrival evKind = iota
-	evCritical
-	evInternal
-	evDispatch
-	evAbortDone
-	evPreempt // stochastic forced preemption at quantum expiry
-)
-
-// event is one scheduled occurrence. Ordering — ascending (at, push
-// order) — is the timing wheel's contract (see internal/rtime/wheel),
-// identical to the binary heap this engine used before PR 6.
-type event struct {
-	at   rtime.Time
-	kind evKind
-	job  *task.Job
-	gen  int64
-}
-
-// runState is per-job engine bookkeeping.
-type runState struct {
-	accessStart rtime.Time // when the current lock-free access began consuming
-	midAccess   bool       // stopped while inside a lock-free access
-	stopSeq     int64      // dispatchSeq at the moment it was stopped
-
-	entrySeg  int        // segment index of the stamped access entry (-1 none)
-	entryTime rtime.Time // when the job first reached that access boundary
-
-	casAttempt int // phantom-CAS failures suffered on the current access
-}
-
 // Engine executes one configured run.
 type Engine struct {
-	cfg Config
-	acc rtime.Duration
+	k *kernel.Kernel
+}
 
-	now     rtime.Time
-	events  *wheel.Wheel[event]
-	res     *resource.Map
-	live    []*task.Job
-	allJobs []*task.Job
-
-	running *task.Job
-	runPos  rtime.Time
-
-	busyUntil       rtime.Time
-	pendingDispatch *task.Job
-	dispatchGen     int64
-	internalGen     int64
-	dispatchSeq     int64
-
-	rstates map[*task.Job]*runState
-	rsSlab  []runState  // slab the per-job runStates are carved from
+// uni is the uniprocessor dispatch policy.
+type uni struct {
+	k       *kernel.Kernel
+	cfg     Config
+	pending *task.Job   // the latest pass's pick, awaiting its overhead
+	lastRun *task.Job   // the job most recently dispatched
 	pickBuf []*task.Job // stochastic-pick candidate scratch (reused)
-	lastRun *task.Job
-
-	// Stepping state: the wheel has no Peek, so NextAt pops the next
-	// event into a one-slot stash that StepNext consumes.
-	stash    event
-	stashed  bool
-	finished bool
-
-	res1 Result
-	fail error
 }
 
 // New builds an engine, pre-generating all UAM arrivals over the horizon.
 func New(cfg Config) (*Engine, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	kc := kernel.Config{
+		Tasks: cfg.Tasks, Mode: cfg.Mode, R: cfg.R, S: cfg.S, OpCost: cfg.OpCost, Horizon: cfg.Horizon,
+		ArrivalKind: cfg.ArrivalKind, Seed: cfg.Seed, Arrivals: cfg.Arrivals, Observer: cfg.Observer,
+		Fault: cfg.Fault, Stoch: cfg.Stoch, CPUs: 1, StochCPU: cfg.StochCPU,
 	}
-	e := &Engine{
-		cfg: cfg,
-		res: resource.NewMap(),
+	if err := cfg.validate(&kc); err != nil {
+		return nil, err
 	}
 	if so, ok := cfg.Scheduler.(interface{ SetObserver(func(trace.Event)) }); ok {
 		so.SetObserver(cfg.Observer)
 	}
-	if cfg.Mode == LockBased {
-		e.acc = cfg.R
-	} else {
-		e.acc = cfg.S
+	u := &uni{cfg: cfg}
+	k, err := kernel.New(kc, u)
+	if err != nil {
+		return nil, err
 	}
-	traces := make([]uam.Trace, len(cfg.Tasks))
-	injected := make([][]bool, len(cfg.Tasks))
-	arrivals := 0
-	for i, t := range cfg.Tasks {
-		if cfg.Arrivals != nil {
-			if i < len(cfg.Arrivals) {
-				traces[i] = cfg.Arrivals[i]
-			}
-		} else {
-			g, err := uam.NewGenerator(t.Arrival, cfg.Seed+int64(i)*7919)
-			if err != nil {
-				return nil, err
-			}
-			traces[i] = g.Generate(cfg.ArrivalKind, cfg.Horizon)
-		}
-		// Fault injection perturbs the releases AFTER generation (or on
-		// top of explicit traces), keyed purely by (plan seed, task id,
-		// arrival index) so every engine perturbs a task identically.
-		traces[i], injected[i] = cfg.Fault.PerturbArrivals(t.ID, traces[i], cfg.Horizon)
-		arrivals += len(traces[i])
-	}
-	// Each arrival contributes at most an arrival plus a critical-time
-	// event held concurrently; dispatch/internal events are transient.
-	// Pre-sizing the wheel arena and job bookkeeping to the known arrival
-	// count avoids repeated growth copies over long horizons, and the
-	// full-width runState slab keeps the per-job path allocation-free.
-	e.events = wheel.New[event](2*arrivals + 8)
-	e.allJobs = make([]*task.Job, 0, arrivals)
-	e.rstates = make(map[*task.Job]*runState, arrivals)
-	e.rsSlab = make([]runState, arrivals)
+	u.k = k
 	if cfg.Stoch.Active() {
 		// Live jobs never exceed total arrivals, so the pick scratch
-		// sized here keeps the stochastic path allocation-free too.
-		e.pickBuf = make([]*task.Job, 0, arrivals)
+		// sized here keeps the stochastic path allocation-free.
+		u.pickBuf = make([]*task.Job, cap(k.Live))
 	}
-	for i, t := range cfg.Tasks {
-		u := t.ComputeTime()
-		for k, at := range traces[i] {
-			j := task.NewJob(t, k, at)
-			if injected[i] != nil && injected[i][k] {
-				j.Injected = true
-			}
-			j.SetOverrun(cfg.Fault.Overrun(t.ID, k, u))
-			e.push(event{at: at, kind: evArrival, job: j})
-		}
-	}
-	return e, nil
-}
-
-func (e *Engine) push(ev event) {
-	e.events.Push(ev.at, ev)
-}
-
-func (e *Engine) rs(j *task.Job) *runState {
-	st := e.rstates[j]
-	if st == nil {
-		// Carve from the slab New pre-allocated for every arrival; the
-		// batch refill is a safety net that never fires on a normal run.
-		if len(e.rsSlab) == 0 {
-			//rtlint:ignore noalloc batch refill safety net; New pre-sizes the slab for every arrival
-			e.rsSlab = make([]runState, 64)
-		}
-		st = &e.rsSlab[0]
-		e.rsSlab = e.rsSlab[1:]
-		st.entrySeg = -1
-		//rtlint:ignore noalloc map pre-sized in New for every arrival; buckets never grow on a normal run
-		e.rstates[j] = st
-	}
-	return st
-}
-
-// stampEntry records the first arrival at the current access boundary.
-func (e *Engine) stampEntry(j *task.Job) {
-	st := e.rs(j)
-	if st.entrySeg != j.SegIdx {
-		st.entrySeg = j.SegIdx
-		st.entryTime = e.runPos
-	}
-}
-
-func (e *Engine) pushInternal(at rtime.Time) {
-	e.internalGen++
-	e.push(event{at: at, kind: evInternal, gen: e.internalGen})
-}
-
-func (e *Engine) failWith(err error) {
-	if e.fail == nil {
-		e.fail = err
-	}
-}
-
-// emit reports a trace event to the configured observer.
-func (e *Engine) emit(at rtime.Time, kind trace.Kind, j *task.Job, obj int) {
-	if e.cfg.Observer == nil || j == nil {
-		return
-	}
-	e.cfg.Observer(trace.Event{At: at, Kind: kind, Task: j.Task.ID, Seq: j.Seq, Object: obj})
-}
-
-// emitSched reports a scheduler-level event (no job attached).
-func (e *Engine) emitSched(at rtime.Time, kind trace.Kind, ops int64) {
-	if e.cfg.Observer == nil {
-		return
-	}
-	e.cfg.Observer(trace.Event{At: at, Kind: kind, Task: -1, Seq: -1, Object: -1, Ops: ops})
+	return &Engine{k: k}, nil
 }
 
 // Run executes the simulation to the horizon and returns the result.
 //
-//rtlint:noalloc steady state carves from pre-sized slabs and reused scratch (PR-6 contract)
-func (e *Engine) Run() Result {
-	for e.StepNext() {
-	}
-	return e.Finish()
-}
-
-// next pops the engine's next live event (skipping superseded
-// generation-guarded ones) into the stash, or reports none remain.
-func (e *Engine) next() (event, bool) {
-	for !e.stashed {
-		if e.events.Len() == 0 {
-			return event{}, false
-		}
-		_, ev, _ := e.events.Pop()
-		if ev.kind == evInternal && ev.gen != e.internalGen {
-			continue
-		}
-		if (ev.kind == evDispatch || ev.kind == evPreempt) && ev.gen != e.dispatchGen {
-			continue
-		}
-		e.stash = ev
-		e.stashed = true
-	}
-	return e.stash, true
-}
+//rtlint:noalloc the kernel's run loop and this engine's policy methods are verified noalloc
+func (e *Engine) Run() Result { return e.k.Run() }
 
 // NextAt peeks the virtual time of the engine's next event. ok is false
 // when the engine has nothing left to process: no events remain, the
 // next event lies beyond the horizon, or the engine failed. The
 // partitioned driver (internal/multi) uses this to interleave several
 // engines' events in global time order.
-func (e *Engine) NextAt() (rtime.Time, bool) {
-	if e.fail != nil || e.finished {
-		return 0, false
-	}
-	ev, ok := e.next()
-	if !ok || ev.at > e.cfg.Horizon {
-		return 0, false
-	}
-	return ev.at, true
-}
-
-// Err returns the engine's failure, if any.
-func (e *Engine) Err() error { return e.fail }
+func (e *Engine) NextAt() (rtime.Time, bool) { return e.k.NextAt() }
 
 // StepNext processes exactly one event and reports whether the run can
 // continue. Observer emissions of the processed event all carry its
 // virtual time, so repeatedly calling StepNext yields an event stream
 // nondecreasing in Event.At.
 //
-//rtlint:noalloc steady state carves from pre-sized slabs and reused scratch (PR-6 contract)
-func (e *Engine) StepNext() bool {
-	if e.fail != nil || e.finished {
-		return false
-	}
-	ev, ok := e.next()
-	if !ok || ev.at > e.cfg.Horizon {
-		e.finished = true
-		return false
-	}
-	e.stashed = false
-	e.now = ev.at
-	needResched := e.settle()
-	switch ev.kind {
-	case evArrival:
-		j := ev.job
-		//rtlint:ignore noalloc bounded by total arrivals; reaches steady capacity at warm-up
-		e.live = append(e.live, j)
-		//rtlint:ignore noalloc pre-sized in New for every arrival
-		e.allJobs = append(e.allJobs, j)
-		e.res1.Arrivals++
-		e.emit(e.now, trace.Arrival, j, -1)
-		if j.Injected {
-			e.res1.FaultArrivals++
-			e.emit(e.now, trace.FaultArrival, j, -1)
-		}
-		if j.Overrun > 0 {
-			e.res1.FaultOverruns++
-			e.emit(e.now, trace.FaultOverrun, j, -1)
-		}
-		e.push(event{at: j.AbsoluteCriticalTime(), kind: evCritical, job: j})
-		needResched = true
-	case evCritical:
-		if !ev.job.Done() && ev.job.State != task.Aborting {
-			e.beginAbort(ev.job)
-			needResched = true
-		}
-	case evAbortDone:
-		j := ev.job
-		if j.State == task.Aborting {
-			j.State = task.Aborted
-			e.res.ReleaseAll(j)
-			e.res1.Aborts++
-			e.emit(e.now, trace.AbortDone, j, -1)
-			needResched = true // departure is a scheduling event
-		}
-	case evDispatch:
-		e.dispatchNow(e.pendingDispatch)
-	case evPreempt:
-		// The stochastic quantum expired with the dispatch still
-		// current (gen-guarded above): force a scheduling pass.
-		// settle() already advanced the runner to e.now.
-		if e.running != nil {
-			needResched = true
-		}
-	case evInternal:
-		// settle() already processed the boundary.
-	}
-	if needResched && e.fail == nil {
-		e.reschedule()
-	}
-	return e.fail == nil
-}
+//rtlint:noalloc the kernel's run loop and this engine's policy methods are verified noalloc
+func (e *Engine) StepNext() bool { return e.k.StepNext() }
 
 // Finish seals and returns the result. Idempotent; call it after
 // StepNext reports the run is over (Run does).
-func (e *Engine) Finish() Result {
-	e.res1.Jobs = e.allJobs
-	e.res1.Horizon = e.cfg.Horizon
-	e.res1.Err = e.fail
-	var retries int64
-	for _, j := range e.allJobs {
-		retries += j.Retries
-	}
-	e.res1.Retries = retries
-	return e.res1
-}
+func (e *Engine) Finish() Result { return e.k.Finish() }
 
-// settle advances the running job to e.now, processing any boundary that
-// falls exactly there. It reports whether a scheduling event occurred
-// (lock request/release, completion, blocking).
-func (e *Engine) settle() bool {
-	j := e.running
-	if j == nil {
-		return false
-	}
-	resched := false
-	delta := e.now.Sub(e.runPos)
-	for {
-		used, stepEv := j.Step(delta, e.acc)
-		delta -= used
-		e.runPos = e.runPos.Add(used)
-		e.res1.ExecTime += used
-		switch stepEv {
-		case task.StepBudget:
-			return resched
-		case task.StepAccessStart:
-			obj, _ := j.AtAccessStart()
-			e.stampEntry(j)
-			if e.cfg.Mode == LockFree {
-				// Not a scheduling event (§4.1): fall straight into the
-				// access; the fresh internal event marks its commit point.
-				e.rs(j).accessStart = e.runPos
-				e.pushInternal(e.runPos.Add(j.TimeToBoundary(e.acc)))
-				continue
-			}
-			granted, _, err := e.res.TryAcquire(j, obj)
-			if err != nil {
-				e.failWith(err)
-				return false
-			}
-			e.res1.LockEvents++
-			if granted {
-				e.emit(e.runPos, trace.LockAcquire, j, obj)
-			} else {
-				j.State = task.Blocked
-				e.emit(e.runPos, trace.Block, j, obj)
-			}
-			e.stopRunning()
-			return true
-		case task.StepAccessEnd:
-			obj := j.Task.Segments[j.SegIdx-1].Object
-			st := e.rs(j)
-			if e.cfg.Mode == LockFree && e.cfg.Fault.PhantomCAS(j.Task.ID, j.Seq, j.SegIdx-1, st.casAttempt) {
-				// An injected phantom writer wins the commit race: the
-				// access retries without any real conflicting commit. The
-				// entry stamp survives, so AccessTime keeps accumulating
-				// through the retry like it does for real interference.
-				st.casAttempt++
-				j.SegIdx--
-				j.SegDone = 0
-				j.Retries++
-				e.res1.FaultRetries++
-				e.emit(e.runPos, trace.FaultRetry, j, obj)
-				st.accessStart = e.runPos
-				e.pushInternal(e.runPos.Add(j.TimeToBoundary(e.acc)))
-				continue
-			}
-			if st.entrySeg == j.SegIdx-1 {
-				e.res1.AccessTime += e.runPos.Sub(st.entryTime)
-				e.res1.Accesses++
-				st.entrySeg = -1
-			}
-			if e.cfg.Mode == LockFree {
-				st.casAttempt = 0
-				e.res.RecordCommit(obj, e.runPos)
-				e.emit(e.runPos, trace.Commit, j, obj)
-				e.pushInternal(e.runPos.Add(j.TimeToBoundary(e.acc)))
-				continue
-			}
-			if err := e.res.Release(j, obj); err != nil {
-				e.failWith(err)
-				return false
-			}
-			e.res1.LockEvents++
-			e.emit(e.runPos, trace.LockRelease, j, obj)
-			e.stopRunning()
-			return true
-		case task.StepLock:
-			obj, _ := j.PendingLock()
-			granted, _, err := e.res.TryAcquire(j, obj)
-			if err != nil {
-				e.failWith(err)
-				return false
-			}
-			e.res1.LockEvents++
-			if granted {
-				j.PassBoundary()
-				e.emit(e.runPos, trace.LockAcquire, j, obj)
-			} else {
-				j.State = task.Blocked
-				e.emit(e.runPos, trace.Block, j, obj)
-			}
-			e.stopRunning()
-			return true
-		case task.StepUnlock:
-			obj := j.Task.Segments[j.SegIdx].Object
-			if err := e.res.Release(j, obj); err != nil {
-				e.failWith(err)
-				return false
-			}
-			j.PassBoundary()
-			e.res1.LockEvents++
-			e.emit(e.runPos, trace.LockRelease, j, obj)
-			e.stopRunning()
-			return true
-		case task.StepCompleted:
-			j.State = task.Completed
-			j.Completion = e.runPos
-			e.res.ReleaseAll(j)
-			e.res1.Completions++
-			e.emit(e.runPos, trace.Complete, j, -1)
-			e.removeLive(j)
-			e.running = nil
-			return true
-		}
-	}
-}
+// Err returns the engine's failure, if any.
+func (e *Engine) Err() error { return e.k.Err() }
 
-func (e *Engine) stopRunning() {
-	j := e.running
-	if j == nil {
-		return
-	}
-	if _, in := j.InAccess(); in && e.cfg.Mode == LockFree {
-		st := e.rs(j)
-		st.midAccess = true
-		st.stopSeq = e.dispatchSeq
-	}
-	if j.State == task.Running {
-		j.State = task.Ready
-	}
-	e.running = nil
-}
-
-func (e *Engine) beginAbort(j *task.Job) {
-	if j.Done() || j.State == task.Aborting {
-		return
-	}
-	if e.running == j {
-		e.stopRunning()
-	}
-	j.State = task.Aborting
-	j.AbortedAt = e.now
-	e.emit(e.now, trace.AbortBegin, j, -1)
-	e.res.Forget(j)
-	start := rtime.MaxTime(e.busyUntil, e.now)
-	e.busyUntil = start.Add(j.Task.AbortCost)
-	e.res1.HandlerTime += j.Task.AbortCost
-	e.push(event{at: e.busyUntil, kind: evAbortDone, job: j})
-}
-
-func (e *Engine) removeLive(j *task.Job) {
-	for i, x := range e.live {
-		if x == j {
-			//rtlint:ignore noalloc copy-down within the same backing array; never grows
-			e.live = append(e.live[:i], e.live[i+1:]...)
-			return
-		}
-	}
-}
-
-func (e *Engine) reschedule() {
-	e.stopRunning()
-	e.internalGen++
-	e.dispatchGen++
-	w := sched.World{
-		Now:       e.now,
-		Jobs:      e.live,
-		Res:       e.res,
-		Acc:       e.acc,
-		LockBased: e.cfg.Mode == LockBased,
-	}
-	d := e.cfg.Scheduler.Select(w)
-	if d.Run != nil && e.cfg.Stoch.Active() {
-		// Stochastic pick: with the plan's probability this pass
-		// replaces the deterministic choice with a uniformly random
-		// runnable job. Candidates are collected from the live set in
-		// its deterministic order, so the drawn index is reproducible.
-		cand := e.pickBuf[:0]
-		for _, j := range e.live {
+// Pass stops the running job and asks the scheduler for the next one;
+// under a stochastic plan the pick is occasionally replaced by a
+// uniformly random runnable job.
+//
+//rtlint:noalloc reached from the kernel's run loop once per scheduling pass
+func (u *uni) Pass() (int64, []*task.Job) {
+	u.k.Stop(0)
+	w := u.k.World()
+	d := u.cfg.Scheduler.Select(w)
+	if d.Run != nil && u.cfg.Stoch.Active() {
+		// Candidates are collected from the live set in its
+		// deterministic order, so the drawn index is reproducible.
+		n := 0
+		for _, j := range w.Jobs {
 			if sched.Runnable(w, j) {
-				//rtlint:ignore noalloc appends into the reused pick buffer; bounded by live jobs, steady capacity at warm-up
-				cand = append(cand, j)
+				u.pickBuf[n] = j
+				n++
 			}
 		}
-		if idx, ok := e.cfg.Stoch.Pick(e.cfg.StochCPU, e.now, len(cand)); ok {
-			d.Run = cand[idx]
+		if idx, ok := u.cfg.Stoch.Pick(u.cfg.StochCPU, w.Now, n); ok {
+			d.Run = u.pickBuf[idx]
 		}
-		e.pickBuf = cand
 	}
-	e.res1.SchedInvocations++
-	e.res1.SchedOps += d.Ops
-	e.emitSched(e.now, trace.SchedPass, d.Ops)
-	overhead := rtime.Duration(math.Round(float64(d.Ops) * e.cfg.OpCost))
-	e.res1.Overhead += overhead
-	if stall := e.cfg.Fault.Stall(e.res1.SchedInvocations); stall > 0 {
-		// A transient CPU stall lands on this pass: the processor is
-		// occupied for the extra ticks exactly like scheduler overhead,
-		// but accounted separately.
-		e.res1.FaultStalls++
-		e.res1.StallTime += stall
-		e.emitSched(e.now, trace.FaultStall, int64(stall))
-		overhead += stall
-	}
-	e.res1.SchedAborts += int64(len(d.Abort))
-	for _, v := range d.Abort {
-		e.beginAbort(v)
-	}
-	start := rtime.MaxTime(e.busyUntil, e.now)
-	e.busyUntil = start.Add(overhead)
-	e.pendingDispatch = d.Run
-	if e.busyUntil.After(e.now) {
-		e.push(event{at: e.busyUntil, kind: evDispatch, gen: e.dispatchGen})
-		return
-	}
-	e.dispatchNow(d.Run)
+	u.pending = d.Run
+	return d.Ops, d.Abort
 }
 
-func (e *Engine) dispatchNow(j *task.Job) {
+// Dispatch runs the pass's pick: a job stopped inside a lock-free access
+// first decides whether the access must re-run, and a lock-based job
+// takes the lock its next segment needs.
+//
+//rtlint:noalloc reached from the kernel's run loop once per dispatch
+func (u *uni) Dispatch() {
+	k, j := u.k, u.pending
 	if j == nil || j.Done() || j.State == task.Aborting {
 		return
 	}
-	st := e.rs(j)
-	if st.midAccess {
-		st.midAccess = false
+	if st := k.State(j); st.MidAccess {
+		st.MidAccess = false
 		retry := false
-		if e.cfg.ConservativeRetry {
-			retry = e.dispatchSeq > st.stopSeq
+		if u.cfg.ConservativeRetry {
+			retry = k.DispatchSeq > st.StopSeq
 		} else if obj, in := j.InAccess(); in {
-			retry = e.res.CommittedSince(obj, st.accessStart)
+			retry = k.Res.CommittedSince(obj, st.AccessStart)
 		}
 		if retry {
-			obj := -1
-			if o, in := j.InAccess(); in {
-				obj = o
-			}
-			j.RestartAccess()
-			e.emit(e.now, trace.Retry, j, obj)
+			k.Restart(0, j)
 		}
 	}
-	if e.cfg.Mode == LockBased {
+	if k.LockBased() {
 		if obj, ok := j.PendingLock(); ok {
-			switch owner := e.res.Owner(obj); {
-			case owner == nil:
-				if _, _, err := e.res.TryAcquire(j, obj); err != nil {
-					e.failWith(err)
-					return
-				}
-				j.PassBoundary()
-				e.res1.LockEvents++
-				e.emit(e.now, trace.LockAcquire, j, obj)
-			case owner == j:
-				// Impossible by construction (the boundary is consumed on
-				// grant), but harmless to tolerate.
-				j.PassBoundary()
-			default:
-				//rtlint:ignore noalloc failure path: the run is aborting with a diagnostic
-				e.failWith(fmt.Errorf("sim: scheduler %s dispatched %s, blocked at Lock(%d) held by %s",
-					e.cfg.Scheduler.Name(), j.Name(), obj, owner.Name())) //rtlint:ignore noalloc failure path: the run is aborting with a diagnostic
+			if !u.take(j, obj) {
 				return
 			}
+			j.PassBoundary()
 		}
-		if obj, ok := j.AtAccessStart(); ok {
-			switch owner := e.res.Owner(obj); {
-			case owner == j:
-				// Holds it already (granted at the boundary event).
-			case owner == nil:
-				if _, _, err := e.res.TryAcquire(j, obj); err != nil {
-					e.failWith(err)
-					return
-				}
-				e.res1.LockEvents++
-				e.emit(e.now, trace.LockAcquire, j, obj)
-			default:
-				//rtlint:ignore noalloc failure path: the run is aborting with a diagnostic
-				e.failWith(fmt.Errorf("sim: scheduler %s dispatched %s, blocked on object %d held by %s",
-					e.cfg.Scheduler.Name(), j.Name(), obj, owner.Name())) //rtlint:ignore noalloc failure path: the run is aborting with a diagnostic
-				return
-			}
+		if obj, ok := j.AtAccessStart(); ok && !u.take(j, obj) {
+			return
 		}
-	} else if _, ok := j.AtAccessStart(); ok {
-		// About to begin a lock-free access: stamp its start.
-		st.accessStart = e.now
 	}
-	if prev := e.lastRun; prev != nil && prev != j && !prev.Done() && prev.State != task.Aborting {
+	if prev := u.lastRun; prev != nil && prev != j && !prev.Done() && prev.State != task.Aborting {
 		prev.Preempts++
-		e.emit(e.now, trace.Preempt, prev, -1)
+		k.Emit(k.Now, trace.Preempt, prev, -1, 0)
 	}
-	e.lastRun = j
-	j.State = task.Running
-	j.Disp++
-	e.dispatchSeq++
-	e.emit(e.now, trace.Dispatch, j, -1)
-	e.running = j
-	e.runPos = e.now
-	if _, ok := j.AtAccessStart(); ok {
-		// Covers jobs whose very first segment is an access (they never
-		// cross an access boundary inside settle).
-		e.stampEntry(j)
-	}
-	e.res1.CtxSwitches++
-	e.pushInternal(e.now.Add(j.TimeToBoundary(e.acc)))
-	if q := e.cfg.Stoch.Step(e.cfg.StochCPU, e.now); q > 0 {
-		// Arm the stochastic quantum: a forced preemption unless a
-		// newer scheduling pass (gen bump) supersedes this dispatch.
-		e.push(event{at: e.now.Add(q), kind: evPreempt, gen: e.dispatchGen})
+	u.lastRun = j
+	k.Start(0, j)
+}
+
+// take acquires obj for j at dispatch unless j already holds it. A
+// scheduler that dispatches a job whose lock is held elsewhere is broken,
+// and the run fails.
+func (u *uni) take(j *task.Job, obj int) bool {
+	switch owner := u.k.Res.Owner(obj); owner {
+	case j:
+		return true
+	case nil:
+		return u.k.Acquire(0, j, obj, u.k.Now)
+	default:
+		u.k.Fail(fmt.Errorf("sim: scheduler %s dispatched %s, blocked on object %d held by %s", u.cfg.Scheduler.Name(), j.Name(), obj, owner.Name())) //rtlint:ignore noalloc failure path: the run is aborting with a diagnostic
+		return false
 	}
 }
+
+// Abort runs the §3.6 abort handler: it occupies the processor for the
+// task's AbortCost, and the job departs when it ends.
+//
+//rtlint:noalloc reached from the kernel's run loop once per abort
+func (u *uni) Abort(j *task.Job) {
+	u.k.Res.Forget(j)
+	u.k.Handle(j, j.Task.AbortCost)
+}
+
+// Descheduled is silent here: the uniprocessor engine reports a
+// preemption when the next, different job is dispatched.
+func (u *uni) Descheduled(int, *task.Job) {}
 
 // Run is a convenience: build an engine and run it.
 func Run(cfg Config) (Result, error) {

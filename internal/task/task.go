@@ -315,16 +315,18 @@ type Job struct {
 	OverrunSeg int
 	Injected   bool
 
-	// Bookkeeping kept on the job so the scheduler hot path indexes
-	// instead of hashing; both fit in the padding after Injected, so a
-	// Job stays in the same allocation size class. WaitObj is
-	// resource.Map's wait record: one plus the id of the object the job
-	// is blocked on, zero when it waits for nothing (a job is tracked by
-	// a single Map). Slot is the job's index in the live slice of the
-	// last RUA pass that included it; it can be stale, so a reader trusts
-	// it only after checking live[Slot] == j.
+	// Bookkeeping kept on the job so the hot paths index instead of
+	// hashing; all three fit in the padding after Injected, so a Job
+	// stays in the same allocation size class. WaitObj is resource.Map's
+	// wait record: one plus the id of the object the job is blocked on,
+	// zero when it waits for nothing (a job is tracked by a single Map).
+	// Slot is the job's index in the live slice of the last RUA pass that
+	// included it; it can be stale, so a reader trusts it only after
+	// checking live[Slot] == j. Idx is the job's creation index in the
+	// engine that released it, which keys the engine's per-job state.
 	WaitObj int32
 	Slot    int32
+	Idx     int32
 }
 
 // NewJob returns a fresh job for the j-th invocation of t released at ar.
