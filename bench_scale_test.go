@@ -5,6 +5,8 @@
 //	                              steady state; warmed scratch)
 //	BenchmarkScaleSelectTopK    → SelectTopKAbort (gsim's per-event call)
 //	BenchmarkScaleEngineRun     → full uniprocessor event loop, 3 windows
+//	BenchmarkScaleEngineSetup   → sim.New alone at n=10⁴ (arrival
+//	                              generation, validation, wheel and slab)
 //
 // The companion before/after pairs live next to the structures they
 // compare: internal/rtime/wheel (BenchmarkWheelChurn vs BenchmarkRefChurn)
@@ -84,6 +86,34 @@ func BenchmarkScaleSelectTopK(b *testing.B) {
 	}
 }
 
+// scaleEngineConfig returns the uniprocessor run the engine benchmarks
+// time on the phased scale workload, three arrival windows per task.
+// Each call clones the task set, since an engine owns the tasks it runs.
+func scaleEngineConfig(tasks []*task.Task, horizon rtime.Time) sim.Config {
+	return sim.Config{
+		Tasks: task.CloneAll(tasks), Scheduler: rua.NewLockFree(), Mode: sim.LockFree,
+		R: experiment.DefaultR, S: experiment.DefaultS,
+		Horizon: horizon, ArrivalKind: uam.KindJittered, Seed: 1,
+		ConservativeRetry: true,
+	}
+}
+
+// scaleEngineTasks builds the n-task scale set and a horizon of three
+// of its longest critical times.
+func scaleEngineTasks(b *testing.B, n int) ([]*task.Task, rtime.Time) {
+	tasks, err := experiment.ScaleWorkload(n, 0.4, experiment.StepTUFs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var maxC rtime.Duration
+	for _, tk := range tasks {
+		if c := tk.CriticalTime(); c > maxC {
+			maxC = c
+		}
+	}
+	return tasks, rtime.Time(3 * int64(maxC))
+}
+
 // BenchmarkScaleEngineRun drives the whole uniprocessor event loop on
 // the phased scale workload for three arrival windows per task — the
 // timing wheel, live-set bookkeeping, and scheduler passes together.
@@ -91,27 +121,12 @@ func BenchmarkScaleSelectTopK(b *testing.B) {
 func BenchmarkScaleEngineRun(b *testing.B) {
 	for _, n := range scaleBenchNs {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			tasks, err := experiment.ScaleWorkload(n, 0.4, experiment.StepTUFs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var maxC rtime.Duration
-			for _, tk := range tasks {
-				if c := tk.CriticalTime(); c > maxC {
-					maxC = c
-				}
-			}
-			horizon := rtime.Time(3 * int64(maxC))
+			tasks, horizon := scaleEngineTasks(b, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var released int64
 			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(sim.Config{
-					Tasks: task.CloneAll(tasks), Scheduler: rua.NewLockFree(), Mode: sim.LockFree,
-					R: experiment.DefaultR, S: experiment.DefaultS,
-					Horizon: horizon, ArrivalKind: uam.KindJittered, Seed: 1,
-					ConservativeRetry: true,
-				})
+				res, err := sim.Run(scaleEngineConfig(tasks, horizon))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -119,5 +134,28 @@ func BenchmarkScaleEngineRun(b *testing.B) {
 			}
 			b.ReportMetric(float64(released), "jobs/run")
 		})
+	}
+}
+
+// engineSink keeps the benchmarked engine live.
+var engineSink *sim.Engine
+
+// BenchmarkScaleEngineSetup times sim.New alone on the n=10⁴ scale set:
+// config and task validation, arrival generation and the wheel and job
+// slab, apart from the run loop BenchmarkScaleEngineRun adds to it. The
+// task clone is made outside the timer.
+func BenchmarkScaleEngineSetup(b *testing.B) {
+	tasks, horizon := scaleEngineTasks(b, 10_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cfg := scaleEngineConfig(tasks, horizon)
+		b.StartTimer()
+		e, err := sim.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		engineSink = e
 	}
 }

@@ -195,12 +195,15 @@ func TestDaemonClosesStalledHeaders(t *testing.T) {
 		t.Fatalf("daemon never became ready")
 	}
 
+	// The daemon arms its header deadline when it starts reading the
+	// accepted connection, which can precede Dial returning here, so the
+	// lower bound is measured from before the dial.
+	start := time.Now()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
-	start := time.Now()
 	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: rtsimd\r\n"); err != nil {
 		t.Fatalf("write partial headers: %v", err)
 	}

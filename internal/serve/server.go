@@ -396,21 +396,21 @@ func (s *Server) worker() {
 		}
 		s.mu.Unlock()
 		if shed {
-			run.setState(StateShed, "")
 			s.mu.Lock()
 			s.shed++
 			s.mu.Unlock()
+			run.setState(StateShed, "")
 			continue
 		}
 		s.execute(run)
-		s.mu.Lock()
-		s.running--
-		s.mu.Unlock()
 	}
 }
 
 // execute runs one scenario through the shared artifact builders and
 // finishes the run. Artifacts land in the cache only on full success.
+// The counters, and the cache on success, are updated before the
+// terminal state is published, so a client that sees the run finish
+// finds it counted in statz and, once done, in the cache.
 func (s *Server) execute(run *Run) {
 	run.mu.Lock()
 	run.state = StateRunning
@@ -422,10 +422,11 @@ func (s *Server) execute(run *Run) {
 		run.mu.Lock()
 		run.files = nil
 		run.mu.Unlock()
-		run.setState(StateFailed, err.Error())
 		s.mu.Lock()
 		s.failed++
+		s.running--
 		s.mu.Unlock()
+		run.setState(StateFailed, err.Error())
 		return
 	}
 	run.mu.Lock()
@@ -434,11 +435,12 @@ func (s *Server) execute(run *Run) {
 	for _, f := range files {
 		run.addEvent(Event{Kind: "artifact", Name: f.Name})
 	}
-	run.setState(StateDone, "")
 	s.mu.Lock()
 	s.cache.put(run.key, files)
 	s.done++
+	s.running--
 	s.mu.Unlock()
+	run.setState(StateDone, "")
 }
 
 // buildArtifacts renders every artifact the spec requests, in the

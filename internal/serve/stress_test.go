@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -267,5 +268,73 @@ func TestConcurrentStress(t *testing.T) {
 		if !terminal(st) {
 			t.Errorf("run %s left in state %s", id, st)
 		}
+	}
+}
+
+// waitRun blocks until cond holds for run, evaluated under the run's
+// lock after every event it records.
+func waitRun(run *Run, cond func() bool) {
+	run.mu.Lock()
+	defer run.mu.Unlock()
+	for !cond() {
+		run.cond.Wait()
+	}
+}
+
+// TestDoneIsPublishedAfterCacheAndCounters: a run seen done is already
+// in the cache and counted in statz. The test holds the server lock
+// from before the build ends until shortly after its artifacts are
+// recorded, so a done published ahead of the cache put and the counter
+// is seen while both are still missing.
+func TestDoneIsPublishedAfterCacheAndCounters(t *testing.T) {
+	srv := New(Config{Workers: 1, Queue: 1, Jobs: 1})
+	defer func() {
+		ctx, cancel := contextWithTestDeadline(t)
+		defer cancel()
+		_ = srv.Drain(ctx)
+	}()
+	const spec = `{"report":{}}`
+	run, status := srv.Submit(mustDecode(t, spec))
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: status %d", status)
+	}
+	waitRun(run, func() bool { return run.state != StateQueued })
+
+	var expired atomic.Bool
+	wakeAfter := func(d time.Duration) *time.Timer {
+		return time.AfterFunc(d, func() {
+			expired.Store(true)
+			run.mu.Lock()
+			run.cond.Broadcast()
+			run.mu.Unlock()
+		})
+	}
+	srv.mu.Lock()
+	// A failed build records no files, so this wait is bounded too.
+	bound := wakeAfter(time.Minute)
+	waitRun(run, func() bool { return run.files != nil || terminal(run.state) || expired.Load() })
+	bound.Stop()
+	grace := wakeAfter(100 * time.Millisecond)
+	waitRun(run, func() bool { return terminal(run.state) || expired.Load() })
+	grace.Stop()
+	st, _, _, _, _, _ := run.snapshot()
+	_, cached := srv.cache.entries[run.key]
+	done := srv.done
+	srv.mu.Unlock()
+	if st == StateDone && (!cached || done != 1) {
+		t.Fatalf("run seen done with cached=%v and done counter %d", cached, done)
+	}
+
+	waitRun(run, func() bool { return terminal(run.state) })
+	stats := srv.Stats()
+	if st, errMsg, _, _, _, _ := run.snapshot(); st != StateDone {
+		t.Fatalf("run ended %s: %s", st, errMsg)
+	}
+	if stats.Done != 1 || stats.Accepted != stats.Done+stats.Failed+stats.Shed || stats.Running != 0 {
+		t.Errorf("statz at done: accepted %d, done %d, failed %d, shed %d, running %d",
+			stats.Accepted, stats.Done, stats.Failed, stats.Shed, stats.Running)
+	}
+	if _, status := srv.Submit(mustDecode(t, spec)); status != http.StatusOK {
+		t.Errorf("resubmit after done: status %d, want a cache hit (200)", status)
 	}
 }
