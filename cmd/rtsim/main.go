@@ -9,7 +9,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -17,37 +16,21 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/experiment"
 	"repro/internal/fault"
-	"repro/internal/runner"
 	"repro/internal/stoch"
 )
-
-// benchEntry is one experiment's wall-clock timing for -bench-json.
-type benchEntry struct {
-	ID      string  `json:"id"`
-	Seconds float64 `json:"seconds"`
-}
-
-// benchReport is the -bench-json document.
-type benchReport struct {
-	Profile     string       `json:"profile"`
-	Jobs        int          `json:"jobs"`
-	Experiments []benchEntry `json:"experiments"`
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is main with its dependencies injected, so the end-to-end
-// determinism test can execute the full CLI twice and diff stdout.
-// Everything written to stdout is a pure function of the flags and
-// experiment ids; wall-clock timing goes only to stderr and the
-// -bench-json file.
+// determinism test can execute the full CLI twice and diff its output.
+// Everything written to stdout and stderr is a pure function of the
+// flags and experiment ids: rtsim never reads the wall clock.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rtsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -55,7 +38,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	format := fs.String("format", "text", "output format: text or csv")
 	jobs := fs.Int("jobs", runtime.GOMAXPROCS(0), "simulation runs to execute in parallel (output is identical for any value)")
-	benchJSON := fs.String("bench-json", "", "write per-experiment wall-clock timings to `file` as JSON")
 	traceFile := fs.String("trace", "", "run the canonical trace workload and write its trace to `file`")
 	traceFormat := fs.String("trace-format", "perfetto", "trace file format: json, perfetto, or spans")
 	traceSim := fs.String("trace-sim", experiment.TraceSimUni, "traced simulator: uni, multi, or global")
@@ -86,8 +68,6 @@ flags:
                        (default: one per CPU); rendered tables are
                        byte-identical for any N
   -format text|csv     table output format
-  -bench-json FILE     also write per-experiment wall-clock seconds to
-                       FILE as JSON
   -list                list experiment ids and exit
 
 observability:
@@ -282,17 +262,13 @@ experiments:
 		ids = experiment.Names()
 	}
 
-	report := benchReport{Profile: p.Name, Jobs: runner.Jobs(p.Jobs)}
 	for _, id := range ids {
 		runExp, ok := experiment.Registry[id]
 		if !ok {
 			fmt.Fprintf(stderr, "rtsim: unknown experiment %q (try -list)\n", id)
 			return 2
 		}
-		start := time.Now() //rtlint:ignore simclock -bench-json reports harness wall-clock, not simulation time
 		tables, err := runExp(p)
-		elapsed := time.Since(start) //rtlint:ignore simclock -bench-json reports harness wall-clock, not simulation time
-		report.Experiments = append(report.Experiments, benchEntry{ID: id, Seconds: elapsed.Seconds()})
 		for _, t := range tables {
 			if *format == "csv" {
 				fmt.Fprintln(stdout, t.RenderCSV())
@@ -302,18 +278,6 @@ experiments:
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "rtsim: %s: %v\n", id, err)
-			exitCode = 1
-			continue
-		}
-		fmt.Fprintf(stderr, "(%s finished in %v)\n\n", id, elapsed.Round(time.Millisecond))
-	}
-	if *benchJSON != "" {
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*benchJSON, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "rtsim: bench-json: %v\n", err)
 			exitCode = 1
 		}
 	}

@@ -11,9 +11,10 @@ import (
 // experiment.TestParallelDeterminism: instead of comparing one
 // experiment's rendered tables in-process, it drives the full rtsim CLI
 // twice — sequential vs one worker per CPU — and requires the complete
-// stdout byte stream to be identical. This catches anything the
-// per-experiment check cannot see: flag plumbing, table ordering across
-// experiments, and stray timing or host-dependent text on stdout.
+// stdout and stderr byte streams to be identical. This catches anything
+// the per-experiment check cannot see: flag plumbing, table ordering
+// across experiments, and stray timing or host-dependent text on either
+// stream.
 // lockdisc is included deliberately: it sweeps the PIP scheduler, whose
 // urgency propagation once iterated a Go map and silently tied charged
 // ops to iteration order.
@@ -22,20 +23,24 @@ func TestGoldenDeterminismAcrossJobs(t *testing.T) {
 		t.Skip("quick-profile sweeps are still a few seconds; skipped with -short")
 	}
 	exps := []string{"thm3", "lockdisc"}
-	render := func(jobs int) string {
+	render := func(jobs int) (stdout, stderr string) {
 		t.Helper()
 		var out, errb strings.Builder
 		args := append([]string{"-profile", "quick", "-jobs", strconv.Itoa(jobs)}, exps...)
 		if code := run(args, &out, &errb); code != 0 {
 			t.Fatalf("rtsim -jobs %d exited %d\nstderr: %s", jobs, code, errb.String())
 		}
-		return out.String()
+		return out.String(), errb.String()
 	}
-	seq := render(1)
-	par := render(runtime.NumCPU())
+	seq, seqErr := render(1)
+	par, parErr := render(runtime.NumCPU())
 	if seq != par {
 		t.Fatalf("rtsim stdout differs between -jobs 1 and -jobs %d:\n--- jobs=1 ---\n%s\n--- jobs=%d ---\n%s",
 			runtime.NumCPU(), seq, runtime.NumCPU(), par)
+	}
+	if seqErr != parErr {
+		t.Fatalf("rtsim stderr differs between -jobs 1 and -jobs %d:\n--- jobs=1 ---\n%s\n--- jobs=%d ---\n%s",
+			runtime.NumCPU(), seqErr, runtime.NumCPU(), parErr)
 	}
 	if strings.Contains(seq, "finished in") {
 		t.Fatalf("wall-clock timing leaked onto stdout:\n%s", seq)

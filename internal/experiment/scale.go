@@ -30,9 +30,9 @@ func scaleNs(p Profile) []int {
 // clustered workload of ScaleWorkload: every (engine × sharing mode)
 // combination runs the same n-task set for one seed, and the table
 // reports deterministic outcome counters. Wall-clock belongs to the
-// benchmark path (rtsim -bench-json, gated in CI against BENCH_PR6.json),
-// not to the table: counters are byte-identical across machines, seconds
-// are not.
+// benchmark (perfbench's scale workload, which also pins the n=10⁴
+// counters exactly), not to the table: counters are byte-identical
+// across machines, seconds are not.
 //
 // The sweep holds total load at AL ≈ 0.4 while n grows, so the live set
 // stays paper-sized and the pressure lands where scaling hurts: the

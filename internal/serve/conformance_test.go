@@ -263,20 +263,20 @@ func TestServedBytesInvariantAcrossJobs(t *testing.T) {
 	diffArtifacts(t, "jobs=1 vs jobs=4", sets[0], sets[1])
 }
 
-// TestStreamFieldSharesCache: the deprecated "stream" spec field selects
-// nothing, so a spec carrying it is the same scenario as its stream-less
-// twin — one cache line, one set of served bytes.
-func TestStreamFieldSharesCache(t *testing.T) {
+// TestStreamFieldRejected: "stream" is not a spec field, so a spec
+// carrying it is refused with the structured 400 every unknown field
+// gets, and no run is admitted.
+func TestStreamFieldRejected(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1})
-	_, fresh := runToCompletion(t, ts, `{"metrics":true}`, StateDone)
 	status, doc := submit(t, ts, `{"metrics":true,"stream":true}`)
-	if status != http.StatusOK || doc["cache"] != "hit" || doc["state"] != string(StateDone) {
-		t.Fatalf("stream spec: status %d cache=%v state=%v, want 200 hit/done", status, doc["cache"], doc["state"])
+	e, _ := doc["error"].(map[string]any)
+	reason, _ := e["reason"].(string)
+	if status != http.StatusBadRequest || e["code"] != "invalid-json" ||
+		!strings.Contains(reason, `unknown field "stream"`) {
+		t.Fatalf("stream spec: status %d body %v, want 400 invalid-json naming the unknown field", status, doc)
 	}
-	cached := fetchArtifacts(t, ts, doc["id"].(string))
-	diffArtifacts(t, "stream spec vs stream-less spec", cached, fresh)
-	if st := srv.Stats(); st.Cache.Hits != 1 || st.Cache.Misses != 1 {
-		t.Errorf("cache hits/misses = %d/%d, want 1/1", st.Cache.Hits, st.Cache.Misses)
+	if st := srv.Stats(); st.Accepted != 0 {
+		t.Errorf("accepted = %d, want 0", st.Accepted)
 	}
 }
 

@@ -97,12 +97,6 @@ type Spec struct {
 	Stoch     string `json:"stoch,omitempty"`
 	StochSeed int64  `json:"stoch_seed,omitempty"`
 
-	// Stream is deprecated and decode-only: every report and metrics
-	// digest folds online through internal/obs, so the field selects
-	// nothing. It is still accepted so older clients' specs decode,
-	// and canonicalization zeroes it so it never splits the cache.
-	Stream bool `json:"stream,omitempty"`
-
 	// Requested artifacts; at least one must be set.
 	Metrics bool        `json:"metrics,omitempty"`
 	Report  *ReportSpec `json:"report,omitempty"`
@@ -159,7 +153,6 @@ func (s *Spec) canonicalize() *Error {
 		return &Error{Code: "invalid-spec", Field: "profile",
 			Reason: fmt.Sprintf("unknown profile %q (want quick or full)", s.Profile)}
 	}
-	s.Stream = false // deprecated and output-neutral: never part of the key
 	if s.Faults != "" || s.FaultSeed != 0 {
 		plan, err := fault.ParsePlan(s.Faults)
 		if err != nil {

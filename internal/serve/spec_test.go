@@ -28,7 +28,7 @@ func TestDecodeSpecFixedPoint(t *testing.T) {
 		`{"faults":"heavy","trace":{"flight":256}}`,
 		`{"stoch":"geo","stoch_seed":3,"metrics":true}`,
 		`{"stoch":"uni","faults":"light","report":{"figs":["all"]}}`,
-		`{"profile":"full","stream":true,"metrics":true}`,
+		`{"profile":"full","metrics":true}`,
 		`{"report":{}}`,
 	}
 	for _, src := range cases {
@@ -133,16 +133,11 @@ func TestDecodeSpecInvalid(t *testing.T) {
 	}
 }
 
-// TestCacheKeyDiscriminates: distinct scenarios get distinct keys, the
-// deprecated "stream" field (which selects nothing) does not make a
-// scenario distinct, and the key embeds the artifact-code version.
+// TestCacheKeyDiscriminates: distinct scenarios get distinct keys, and
+// the key embeds the artifact-code version.
 func TestCacheKeyDiscriminates(t *testing.T) {
 	a := mustDecode(t, `{"metrics":true}`)
-	b := mustDecode(t, `{"metrics":true,"stream":true}`)
 	c := mustDecode(t, `{"metrics":true,"faults":"light"}`)
-	if a.CacheKey() != b.CacheKey() {
-		t.Errorf("\"stream\" split the cache:\n  %s\n  %s", a.CacheKey(), b.CacheKey())
-	}
 	if a.CacheKey() == c.CacheKey() {
 		t.Errorf("distinct scenarios share a cache key:\n  %s\n  %s", a.CacheKey(), c.CacheKey())
 	}
